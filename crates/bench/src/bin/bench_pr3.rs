@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use etlv_bench::{run_import_on, virtualizer_with_latency};
 use etlv_core::convert::{ConvertScratch, DataConverter};
-use etlv_core::obs::Obs;
+use etlv_core::obs::{Obs, SpanIds};
 use etlv_core::workload::{customer_workload, wide_workload, CustomerSpec, Workload};
 use etlv_core::VirtualizerConfig;
 use etlv_legacy_client::ClientOptions;
@@ -109,12 +109,14 @@ fn bench_kernel(name: &'static str, workload: &Workload, iters: u32) -> KernelRe
             obs.pipeline.convert_rows.add(rows as u64);
             obs.pipeline.convert_bytes.add(chunk.len() as u64);
             obs.pipeline.convert_us.record_duration(elapsed);
-            obs.journal.emit(
+            obs.journal.emit_span(
                 "chunk.convert",
+                SpanIds::default(),
                 1,
                 0,
                 (i * CHUNK_ROWS + 1) as u64,
                 rows as u64,
+                started,
                 elapsed,
             );
             total += rows as u64;

@@ -115,6 +115,7 @@ fn bench_kernel(
                 0,
                 (i * CHUNK_ROWS + 1) as u64,
                 chunk.len() as u64,
+                enqueued,
                 enqueued.elapsed(),
             );
             let started = Instant::now();
@@ -134,6 +135,7 @@ fn bench_kernel(
                 0,
                 (i * CHUNK_ROWS + 1) as u64,
                 rows as u64,
+                started,
                 elapsed,
             );
             total += rows as u64;

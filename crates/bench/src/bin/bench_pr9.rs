@@ -2,15 +2,19 @@
 //!
 //! 1. **Overhead**: the per-chunk work the always-on profiler adds to the
 //!    conversion hot path — the thread-CPU clock read bracketing each
-//!    convert, the stage CPU/wall record, the tracked-lock queue handoff,
-//!    and the busy-worker gauge — costs no more than 3% of conversion
-//!    throughput on the wide workload (the same gate shape bench_pr4 and
-//!    bench_pr8 applied to their layers). Measured bench_pr4-style: both
-//!    variants interleaved inside every timed iteration, min-of-N.
+//!    convert, the one `Obs::record_stage` call that closes the stage
+//!    (stage and tenant histograms, CPU counter, journal span), the
+//!    tracked-lock queue handoff, and the busy-worker gauge — costs no
+//!    more than 3% of conversion throughput on the wide workload (the
+//!    same gate shape bench_pr4 and bench_pr8 applied to their layers).
+//!    Measured bench_pr4-style: both variants interleaved inside every
+//!    timed iteration, min-of-N.
 //! 2. **Reconciliation**: a seeded `error_heavy` workloadgen replay over
-//!    real TCP must leave a non-empty folded flamegraph whose per-stage
-//!    wall totals agree with the PR 4 critical-path attribution (the
-//!    `Trace` surface, re-assembled job by job) within 5%.
+//!    real TCP must fold every replayed job into the flamegraph at close,
+//!    with no job missed for an incomplete or orphaned trace, and the
+//!    folded per-stage wall totals must agree with the PR 4 critical-path
+//!    attribution (the `Trace` surface, re-assembled job by job) within
+//!    5%.
 //!
 //! Writes `BENCH_PR9.json` at the repo root (format documented in
 //! EXPERIMENTS.md).
@@ -26,7 +30,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use etlv_core::convert::{ConvertScratch, DataConverter};
-use etlv_core::obs::{CpuTimer, Obs, TrackedMutex};
+use etlv_core::obs::{CpuTimer, Obs, SpanIds, StageSpan, TrackedMutex};
+use etlv_core::trace::Stage;
 use etlv_core::workload::{customer_workload, CustomerSpec, Workload};
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{Connect, TcpConnector};
@@ -83,12 +88,12 @@ fn chunked(data: &[u8]) -> Vec<&[u8]> {
     chunks
 }
 
-/// PR 8 baseline vs PR 9 profiling, interleaved per timed iteration. The
+/// PR 8 baseline vs profiling, interleaved per timed iteration. The
 /// baseline performs what the PR 8 pipeline did per chunk (node counters
-/// and the convert histogram); the profiled variant adds what PR 9 put
-/// in the worker loop: a tracked-mutex queue handoff, the busy-worker
-/// gauge swing, the thread-CPU clock read bracketing the convert, and
-/// the stage CPU/wall record.
+/// and the convert histogram); the profiled variant does what the worker
+/// loop does now: a tracked-mutex queue handoff, the busy-worker gauge
+/// swing, the thread-CPU clock read bracketing the convert, and the one
+/// stage record in place of the bare histogram.
 fn bench_kernel(
     name: &'static str,
     workload: &Workload,
@@ -101,6 +106,12 @@ fn bench_kernel(
     let mut scratch = ConvertScratch::new();
     // The queue lock the worker loop takes once per dequeued chunk.
     let queue = TrackedMutex::new(obs.registry.lock_site("bench.queue"), 0u64);
+    let tenant = obs.tenant("bench");
+    let root = SpanIds {
+        trace: 1,
+        span: obs.journal.next_span_id(),
+        parent: 0,
+    };
 
     let run_base = |out: &mut Vec<u8>, scratch: &mut ConvertScratch| {
         let mut total = 0u64;
@@ -132,12 +143,17 @@ fn bench_kernel(
             let rows = conv
                 .convert_into((i * CHUNK_ROWS + 1) as u64, chunk, out, scratch)
                 .unwrap();
-            let elapsed = started.elapsed();
-            obs.profile.convert.record(elapsed, cpu.elapsed());
+            let span = StageSpan {
+                tenant: &tenant,
+                job: 1,
+                ids: root.child(obs.journal.next_span_id()),
+                chunk: (i * CHUNK_ROWS + 1) as u64,
+                value: rows as u64,
+            };
+            obs.record_stage(Stage::Convert, started, started.elapsed(), Some(&cpu), span);
             obs.pipeline.convert_chunks.inc();
             obs.pipeline.convert_rows.add(rows as u64);
             obs.pipeline.convert_bytes.add(chunk.len() as u64);
-            obs.pipeline.convert_us.record_duration(elapsed);
             obs.pool.busy_workers.sub(1);
             total += rows as u64;
             std::hint::black_box(&*out);
@@ -203,6 +219,7 @@ fn folded_path(stage: &str) -> &'static str {
 struct ReconcileResult {
     jobs_replayed: u64,
     folded_jobs: u64,
+    folded_missed_jobs: u64,
     folded_lines: usize,
     folded_total_us: u64,
     trace_total_us: u64,
@@ -273,6 +290,7 @@ fn run_reconcile(scenario: &Scenario, options: &ReplayOptions) -> ReconcileResul
     ReconcileResult {
         jobs_replayed: counts.jobs,
         folded_jobs: profile.folded_jobs,
+        folded_missed_jobs: profile.folded_missed_jobs,
         folded_lines: folded.len(),
         folded_total_us: folded.values().sum(),
         trace_total_us: expected.values().sum(),
@@ -325,10 +343,11 @@ fn main() {
     };
     let reconcile = run_reconcile(&scenario, &options);
     eprintln!(
-        "  jobs {}  folded_jobs {}  stacks {}  folded {} us  traced {} us  \
+        "  jobs {}  folded_jobs {}  missed {}  stacks {}  folded {} us  traced {} us  \
          worst {} {:+.3}%  contended sites {}",
         reconcile.jobs_replayed,
         reconcile.folded_jobs,
+        reconcile.folded_missed_jobs,
         reconcile.folded_lines,
         reconcile.folded_total_us,
         reconcile.trace_total_us,
@@ -367,12 +386,13 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"reconcile\": {{\"scenario\": \"{}\", \"jobs_replayed\": {}, \
-         \"folded_jobs\": {}, \"folded_stacks\": {}, \"folded_total_us\": {}, \
-         \"trace_total_us\": {}, \"worst_path\": \"{}\", \"worst_delta_pct\": {:.3}, \
-         \"contended_sites\": {}}}\n",
+         \"folded_jobs\": {}, \"folded_missed_jobs\": {}, \"folded_stacks\": {}, \
+         \"folded_total_us\": {}, \"trace_total_us\": {}, \"worst_path\": \"{}\", \
+         \"worst_delta_pct\": {:.3}, \"contended_sites\": {}}}\n",
         scenario.name,
         reconcile.jobs_replayed,
         reconcile.folded_jobs,
+        reconcile.folded_missed_jobs,
         reconcile.folded_lines,
         reconcile.folded_total_us,
         reconcile.trace_total_us,
@@ -390,6 +410,13 @@ fn main() {
     if obs_compiled {
         if reconcile.folded_jobs == 0 || reconcile.folded_lines == 0 {
             eprintln!("FAIL: error_heavy replay left an empty folded flamegraph");
+            failed = true;
+        }
+        if reconcile.folded_missed_jobs != 0 {
+            eprintln!(
+                "FAIL: {} job(s) closed with an incomplete or orphaned trace",
+                reconcile.folded_missed_jobs
+            );
             failed = true;
         }
         if reconcile.folded_jobs != reconcile.jobs_replayed {

@@ -45,12 +45,12 @@ use crate::fault::{retry_cdw, FaultCounts, FaultInjector};
 use crate::memory::MemoryGauge;
 use crate::obs::{
     stats_json, stats_prometheus, CpuTimer, HealthReport, JobObs, Obs, OverloadInput,
-    ProfileReport, Sampler, SloEngine, SpanIds, TenantObs,
+    ProfileReport, Sampler, SloEngine, SpanIds, StageSpan, TenantObs,
 };
 use crate::pipeline::{ChunkSink, Pipeline, PipelineReport, RawChunk, WorkerRuntime};
 use crate::report::{JobReport, NodeMetrics};
 use crate::session::SessionRegistry;
-use crate::trace::JobTrace;
+use crate::trace::{JobTrace, Stage};
 use crate::xcompile;
 
 pub(crate) struct ImportJobState {
@@ -76,6 +76,19 @@ pub(crate) struct ImportJobState {
     /// The owning session's tenant metric block — every job-scoped count
     /// and latency lands here as well as in the node-global registry.
     tenant: Arc<TenantObs>,
+}
+
+impl ImportJobState {
+    /// A stage span of this job with identity `ids` and payload `value`.
+    fn stage_span(&self, token: u64, ids: SpanIds, value: u64) -> StageSpan<'_> {
+        StageSpan {
+            tenant: &self.tenant,
+            job: token,
+            ids,
+            chunk: 0,
+            value,
+        }
+    }
 }
 
 pub(crate) struct ExportJobState {
@@ -441,10 +454,10 @@ impl Virtualizer {
         self.trace(job).map(|t| t.to_json())
     }
 
-    /// The continuous-profiling report: per-stage CPU/wall accounting,
-    /// top-K contended lock sites, worker-pool utilization, and the
-    /// folded-stack flamegraph aggregated from the journal's retained
-    /// spans. With `obs` compiled out the report comes back
+    /// The continuous-profiling report since node start: per-stage
+    /// CPU/wall accounting, top-K contended lock sites, worker-pool
+    /// utilization, and the folded-stack flamegraph of every job folded
+    /// at close. With `obs` compiled out the report comes back
     /// `enabled: false` and empty.
     pub fn profile(&self) -> ProfileReport {
         ProfileReport::collect(&self.node.obs)
@@ -633,6 +646,8 @@ impl Virtualizer {
         node.obs.gateway.jobs_started.inc();
         tenant.jobs_started.inc();
         tenant.active_jobs.add(1);
+        // `job.begin` is stamped from the reading the phases start at.
+        let started = Instant::now();
         node.obs.journal.emit_span(
             "job.begin",
             ids,
@@ -640,6 +655,7 @@ impl Virtualizer {
             0,
             0,
             spec.sessions as u64,
+            started,
             Duration::ZERO,
         );
 
@@ -657,7 +673,7 @@ impl Virtualizer {
                 sink: Mutex::new(Some(sink)),
                 rows_received: AtomicU64::new(0),
                 oom: Mutex::new(None),
-                started: Instant::now(),
+                started,
                 tenant,
             })),
         );
@@ -834,8 +850,10 @@ impl Virtualizer {
                     0,
                     0,
                     report.rows_received,
+                    job.started,
                     report.total(),
                 );
+                self.node.obs.fold_job(token);
                 let mut reports = self.node.reports.lock();
                 while reports.len() >= self.node.config.report_history {
                     reports.pop_front();
@@ -856,6 +874,7 @@ impl Virtualizer {
                     0,
                     0,
                     code.0 as u64,
+                    Instant::now(),
                     Duration::ZERO,
                 );
                 self.cleanup_job(&job);
@@ -916,26 +935,24 @@ impl Virtualizer {
                 node.cdw.execute(&copy)
             })
             .map_err(|e| (ErrCode::INTERNAL, format!("COPY failed: {e}")))?;
-            let copy_elapsed = copy_started.elapsed();
-            node.obs
-                .profile
-                .copy
-                .record(copy_elapsed, copy_cpu.elapsed());
-            node.obs.adaptive.copy_us.record_duration(copy_elapsed);
-            node.obs.journal.emit_span(
-                "copy",
-                job.ids.child(node.obs.journal.next_span_id()),
-                token,
-                0,
-                0,
-                pipe_report.files.len() as u64,
-                copy_elapsed,
+            node.obs.record_stage(
+                Stage::Copy,
+                copy_started,
+                copy_started.elapsed(),
+                Some(&copy_cpu),
+                job.stage_span(
+                    token,
+                    job.ids.child(node.obs.journal.next_span_id()),
+                    pipe_report.files.len() as u64,
+                ),
             );
         }
-        let acquisition = job.started.elapsed();
+        // One chain of readings from `job.started`: each phase starts at
+        // the reading that ended the last, so the phases sum to the wall.
+        let acquired = Instant::now();
+        let acquisition = acquired.duration_since(job.started);
 
         // Application phase: cross-compile, plan emulation, apply.
-        let application_started = Instant::now();
         let apply_cpu = CpuTimer::start();
         let compiled = xcompile::compile_dml(dml, &job.spec.layout, &job.staging_table)
             .map_err(|e| (ErrCode::SQL_ERROR, e.to_string()))?;
@@ -967,42 +984,34 @@ impl Virtualizer {
         )
         .map_err(|e| (ErrCode::SQL_ERROR, format!("application failed: {e}")))?;
         cdw_retries += outcome.transient_retries;
-        let application = application_started.elapsed();
-        node.obs
-            .profile
-            .apply
-            .record(application, apply_cpu.elapsed());
+        let application = acquired.elapsed();
+        let applied = acquired + application;
+        node.obs.record_stage(
+            Stage::Apply,
+            acquired,
+            application,
+            Some(&apply_cpu),
+            job.stage_span(token, apply_ids, outcome.applied),
+        );
         node.obs.adaptive.statements.add(outcome.statements);
         node.obs
             .adaptive
             .transient_retries
             .add(outcome.transient_retries);
-        node.obs.adaptive.apply_us.record_duration(application);
-        job.tenant.apply_us.record_duration(application);
-        node.obs.journal.emit_span(
-            "apply",
-            apply_ids,
-            token,
-            0,
-            0,
-            outcome.applied,
-            application,
-        );
+        // The aggregate ack wait has no single placement: it is recorded
+        // from job start, where every higher-priority stage can shadow it.
         let ack_wait = Duration::from_micros(job.ack_wait_micros.load(Ordering::Relaxed));
         if !ack_wait.is_zero() {
-            node.obs.journal.emit_span(
-                "ack.wait",
-                job.ids.child(node.obs.journal.next_span_id()),
-                token,
-                0,
-                0,
-                0,
+            node.obs.record_stage(
+                Stage::AckWait,
+                job.started,
                 ack_wait,
+                None,
+                job.stage_span(token, job.ids.child(node.obs.journal.next_span_id()), 0),
             );
         }
 
         // Error tables: acquisition errors + application errors.
-        let teardown_started = Instant::now();
         self.write_error_tables(job, &pipe_report, &outcome.errors, &mut cdw_retries)
             .map_err(|e| (ErrCode::INTERNAL, e))?;
         self.cleanup_job(job);
@@ -1021,7 +1030,7 @@ impl Virtualizer {
             errors_uv,
             acquisition,
             application,
-            other: teardown_started.elapsed(),
+            other: applied.elapsed(),
             files_staged: pipe_report.files.len() as u64,
             bytes_staged: pipe_report.bytes_staged,
             upload_retries: pipe_report.upload_retries,
@@ -1183,6 +1192,7 @@ impl Virtualizer {
                     0,
                     0,
                     job.rows_received.load(Ordering::Relaxed),
+                    job.started,
                     job.started.elapsed(),
                 );
                 let report = JobReport {
@@ -1200,9 +1210,10 @@ impl Virtualizer {
             Some(Job::Export(_)) if !clean => {
                 node.obs.gateway.jobs_aborted.inc();
                 node.metrics.lock().jobs_aborted += 1;
+                let (ids, now) = (SpanIds::default(), Instant::now());
                 node.obs
                     .journal
-                    .emit("job.abort", token, 0, 0, 0, Duration::ZERO);
+                    .emit_span("job.abort", ids, token, 0, 0, 0, now, Duration::ZERO);
             }
             Some(Job::Export(_)) | None => {}
         }

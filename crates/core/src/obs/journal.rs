@@ -58,21 +58,9 @@ impl Journal {
         }
     }
 
-    /// Emit one untraced event (zero span ids). `chunk` and `value` are
-    /// kind-specific payloads (see [`SpanEvent`]).
-    pub fn emit(
-        &self,
-        kind: &'static str,
-        job: u64,
-        session: u64,
-        chunk: u64,
-        value: u64,
-        dur: Duration,
-    ) {
-        self.emit_span(kind, SpanIds::default(), job, session, chunk, value, dur);
-    }
-
-    /// Emit one event carrying a causal identity.
+    /// Emit one event for work measured over `[start, start + dur]`,
+    /// stamped at the interval's end on the journal clock (not the emit
+    /// time), so a late emit keeps the measured placement.
     #[allow(clippy::too_many_arguments)]
     pub fn emit_span(
         &self,
@@ -82,18 +70,23 @@ impl Journal {
         session: u64,
         chunk: u64,
         value: u64,
+        start: Instant,
         dur: Duration,
     ) {
+        let start_micros = start
+            .saturating_duration_since(self.inner.epoch)
+            .as_micros() as u64;
+        let dur_micros = dur.as_micros() as u64;
         let event = SpanEvent {
             seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
-            at_micros: self.inner.epoch.elapsed().as_micros() as u64,
+            at_micros: start_micros + dur_micros,
             kind,
             ids,
             job,
             session,
             chunk,
             value,
-            dur_micros: dur.as_micros() as u64,
+            dur_micros,
         };
         {
             let mut ring = self.inner.ring.lock();
@@ -123,11 +116,6 @@ impl Journal {
     pub fn events_for_job(&self, job: u64) -> Vec<SpanEvent> {
         let ring = self.inner.ring.lock();
         ring.iter().filter(|e| e.job == job).copied().collect()
-    }
-
-    /// Microseconds since the journal epoch (the `at_micros` clock).
-    pub fn now_micros(&self) -> u64 {
-        self.inner.epoch.elapsed().as_micros() as u64
     }
 
     /// The most recent `n` events, oldest first.
@@ -161,11 +149,16 @@ impl Journal {
 mod tests {
     use super::*;
 
+    /// An untraced event completing now.
+    fn emit(j: &Journal, kind: &'static str, job: u64, dur: Duration) {
+        j.emit_span(kind, SpanIds::default(), job, 0, 0, 0, Instant::now(), dur);
+    }
+
     #[test]
     fn ring_bounds_and_ordering() {
         let j = Journal::new(3, None);
         for i in 0..5u64 {
-            j.emit("t", i, 0, 0, 0, Duration::ZERO);
+            emit(&j, "t", i, Duration::ZERO);
         }
         assert_eq!(j.emitted(), 5);
         assert_eq!(j.retained(), 3);
@@ -186,7 +179,7 @@ mod tests {
         let j = Journal::new(3, None);
         assert_eq!(j.dropped(), 0);
         for i in 0..5u64 {
-            j.emit("t", i, 0, 0, 0, Duration::ZERO);
+            emit(&j, "t", i, Duration::ZERO);
         }
         assert_eq!(j.dropped(), 2);
     }
@@ -199,8 +192,17 @@ mod tests {
             span: j.next_span_id(),
             parent: 0,
         };
-        j.emit_span("job.begin", root, 7, 1, 0, 0, Duration::ZERO);
-        j.emit("noise", 8, 0, 0, 0, Duration::ZERO);
+        j.emit_span(
+            "job.begin",
+            root,
+            7,
+            1,
+            0,
+            0,
+            Instant::now(),
+            Duration::ZERO,
+        );
+        emit(&j, "noise", 8, Duration::ZERO);
         j.emit_span(
             "chunk.convert",
             root.child(j.next_span_id()),
@@ -208,6 +210,7 @@ mod tests {
             0,
             3,
             100,
+            Instant::now(),
             Duration::from_micros(40),
         );
         let events = j.events_for_job(7);
@@ -224,8 +227,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("sink-{}.jsonl", std::process::id()));
         let j = Journal::new(8, Some(&path));
-        j.emit("upload.part", 1, 0, 2, 1024, Duration::from_micros(55));
-        j.emit("copy", 1, 0, 0, 0, Duration::from_micros(900));
+        emit(&j, "upload.part", 1, Duration::from_micros(55));
+        emit(&j, "copy", 1, Duration::from_micros(900));
         j.flush();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -242,7 +245,7 @@ mod tests {
     #[test]
     fn unwritable_sink_degrades_to_memory_only() {
         let j = Journal::new(4, Some(Path::new("/no/such/dir/x.jsonl")));
-        j.emit("t", 0, 0, 0, 0, Duration::ZERO);
+        emit(&j, "t", 0, Duration::ZERO);
         assert_eq!(j.retained(), 1);
     }
 }

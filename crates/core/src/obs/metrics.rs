@@ -409,6 +409,8 @@ impl MetricsRegistry {
             agg_acquires: self.counter("lock.acquires"),
             agg_contended: self.counter("lock.contended"),
             agg_wait_us: self.counter("lock.wait_us"),
+            idle_wait_us: Counter::new(),
+            agg_idle_wait_us: self.counter("lock.idle_wait_us"),
         });
         sites.push(Arc::clone(&s));
         s
@@ -441,19 +443,9 @@ impl MetricsRegistry {
     /// [`super::TrackedMutex`]) because the site lives *inside* the
     /// registry being locked.
     fn lock_tenants(&self) -> parking_lot::MutexGuard<'_, Vec<Arc<TenantObs>>> {
-        let site = Arc::clone(self.self_site());
-        match self.inner.tenants.try_lock() {
-            Some(guard) => {
-                site.acquired_uncontended();
-                guard
-            }
-            None => {
-                let blocked = std::time::Instant::now();
-                let guard = self.inner.tenants.lock();
-                site.acquired_after(blocked.elapsed());
-                guard
-            }
-        }
+        let tenants = &self.inner.tenants;
+        self.self_site()
+            .acquire(|| tenants.try_lock(), || tenants.lock())
     }
 
     /// Snapshot every metric, name-sorted.

@@ -24,7 +24,9 @@
 //! the instrumentation cost can be *measured* against a compiled-out
 //! build (see `bench_pr3`).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use crate::trace::Stage;
 
 mod render;
 pub use render::{prom_escape_label, stats_json, stats_prometheus};
@@ -36,9 +38,9 @@ pub use slo::{
 
 mod profile;
 pub use profile::{
-    folded_flamegraph, render_flame_ascii, thread_cpu_time, CpuTimer, LockSiteObs,
-    LockSiteSnapshot, PoolProfile, ProfileReport, StageCpuProfile, TrackedCondvar, TrackedMutex,
-    TrackedMutexGuard, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard, PROFILE_TOP_K,
+    render_flame_ascii, thread_cpu_time, CpuTimer, LockSiteObs, LockSiteSnapshot, PoolProfile,
+    ProfileReport, StageCpuProfile, TrackedCondvar, TrackedMutex, TrackedMutexGuard,
+    TrackedReadGuard, TrackedRwLock, TrackedWriteGuard, PROFILE_TOP_K, PROFILE_WINDOW,
 };
 
 #[cfg(feature = "obs")]
@@ -224,7 +226,7 @@ pub struct TenantSnapshot {
 
 /// Causal identity of a journal event: which trace it belongs to, which
 /// span it *is*, and which span caused it. All-zero means "untraced" —
-/// events emitted through the legacy [`Journal::emit`] path and events in
+/// events emitted without a job span (session lifecycle) and events in
 /// a `--no-default-features` build carry zero ids.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanIds {
@@ -400,6 +402,10 @@ pub struct PipelineObs {
     pub convert_us: Histogram,
     /// Per-part upload time (including retries), µs.
     pub upload_us: Histogram,
+    /// Converter thread CPU time, µs (`profile.convert.cpu_us`).
+    pub convert_cpu_us: Counter,
+    /// Uploader thread CPU time, µs (`profile.upload.cpu_us`).
+    pub upload_cpu_us: Counter,
 }
 
 /// Object-store handles, fed by the `ObservedStore` decorator.
@@ -478,6 +484,10 @@ pub struct AdaptiveObs {
     pub copy_us: Histogram,
     /// Whole-application wall time per job, µs.
     pub apply_us: Histogram,
+    /// COPY INTO thread CPU time, µs (`profile.copy.cpu_us`).
+    pub copy_cpu_us: Counter,
+    /// Application thread CPU time, µs (`profile.apply.cpu_us`).
+    pub apply_cpu_us: Counter,
 }
 
 /// Export-path handles.
@@ -491,44 +501,18 @@ pub struct ExportObs {
     pub bytes: Counter,
 }
 
-/// One pipeline stage's CPU/wall accounting (PR 9). `record` adds the
-/// wall time unconditionally; CPU time and the sample count accrue only
-/// when the thread CPU clock produced a pair, so `cpu_us / samples` stays
-/// meaningful on platforms without the clock.
+/// Flamegraph folding: each completed job's trace attribution is added
+/// here once, when the job closes (window: since node start).
 #[derive(Clone)]
-pub struct StageProf {
-    /// Wall time across sampled executions, µs.
-    pub wall_us: Counter,
-    /// Thread CPU time across sampled executions, µs.
-    pub cpu_us: Counter,
-    /// Executions where a CPU sample pair succeeded.
-    pub samples: Counter,
-}
-
-impl StageProf {
-    /// Record one execution: wall always, CPU when sampled.
-    #[inline]
-    pub fn record(&self, wall: Duration, cpu: Option<Duration>) {
-        self.wall_us.add(wall.as_micros() as u64);
-        if let Some(cpu) = cpu {
-            self.cpu_us.add(cpu.as_micros() as u64);
-            self.samples.inc();
-        }
-    }
-}
-
-/// Per-stage CPU/wall profiles (PR 9): the four attributable stages the
-/// Profile report breaks down.
-#[derive(Clone)]
-pub struct ProfileObs {
-    /// Chunk conversion (converter workers).
-    pub convert: StageProf,
-    /// Part upload (writer workers).
-    pub upload: StageProf,
-    /// COPY INTO (gateway finish path).
-    pub copy: StageProf,
-    /// Adaptive application (gateway finish path).
-    pub apply: StageProf,
+pub struct FoldObs {
+    /// Jobs whose attribution was folded.
+    pub jobs: Counter,
+    /// Jobs that closed with an incomplete or orphaned trace (the ring
+    /// evicted part of it); their attribution is not folded.
+    pub missed_jobs: Counter,
+    /// Folded wall time, µs, per attribution bucket: [`Stage::ALL`] order,
+    /// then `other` — the order of [`crate::trace::JobTrace::attribution`].
+    pub stage_us: [Counter; 7],
 }
 
 /// Worker-pool utilization handles (PR 9): saturation timelines for the
@@ -597,8 +581,8 @@ pub struct Obs {
     pub export: ExportObs,
     /// Fault-injector gauges.
     pub fault: FaultObs,
-    /// Per-stage CPU/wall profiles.
-    pub profile: ProfileObs,
+    /// Per-job flamegraph folding.
+    pub fold: FoldObs,
     /// Worker-pool utilization handles.
     pub pool: PoolObs,
 }
@@ -616,11 +600,7 @@ impl Obs {
         r.counter("lock.acquires");
         r.counter("lock.contended");
         r.counter("lock.wait_us");
-        let stage = |name: &str| StageProf {
-            wall_us: r.counter(&format!("profile.{name}.wall_us")),
-            cpu_us: r.counter(&format!("profile.{name}.cpu_us")),
-            samples: r.counter(&format!("profile.{name}.samples")),
-        };
+        r.counter("lock.idle_wait_us");
         Obs {
             gateway: GatewayObs {
                 sessions_opened: r.counter("gateway.sessions_opened"),
@@ -670,6 +650,8 @@ impl Obs {
                 upload_retries: r.counter("pipeline.upload_retries"),
                 convert_us: r.histogram("pipeline.convert_us"),
                 upload_us: r.histogram("pipeline.upload_us"),
+                convert_cpu_us: r.counter("profile.convert.cpu_us"),
+                upload_cpu_us: r.counter("profile.upload.cpu_us"),
             },
             store: StoreObs {
                 put_ops: r.counter("cloudstore.put_ops"),
@@ -706,6 +688,8 @@ impl Obs {
                 transient_retries: r.counter("adaptive.transient_retries"),
                 copy_us: r.histogram("adaptive.copy_us"),
                 apply_us: r.histogram("adaptive.apply_us"),
+                copy_cpu_us: r.counter("profile.copy.cpu_us"),
+                apply_cpu_us: r.counter("profile.apply.cpu_us"),
             },
             export: ExportObs {
                 chunks: r.counter("export.chunks"),
@@ -720,11 +704,13 @@ impl Obs {
                 injected_convert: r.gauge("fault.injected_convert"),
                 injected_transport: r.gauge("fault.injected_transport"),
             },
-            profile: ProfileObs {
-                convert: stage("convert"),
-                upload: stage("upload"),
-                copy: stage("copy"),
-                apply: stage("apply"),
+            fold: FoldObs {
+                jobs: r.counter("profile.folded_jobs"),
+                missed_jobs: r.counter("profile.folded_missed_jobs"),
+                stage_us: std::array::from_fn(|i| {
+                    let bucket = Stage::ALL.get(i).map_or("other", |s| s.name());
+                    r.counter(&format!("profile.folded.{bucket}_us"))
+                }),
             },
             pool: PoolObs {
                 busy_workers: r.gauge("pool.busy_workers"),
@@ -748,6 +734,74 @@ impl Obs {
     pub fn tenant(&self, name: &str) -> std::sync::Arc<TenantObs> {
         self.registry.tenant(name)
     }
+
+    /// Close a stage that ran over `[started, started + wall]`: the one
+    /// accounting event per stage. It records the node and tenant wall
+    /// histograms (where the stage has them), the CPU `cpu` measured into
+    /// `profile.<stage>.cpu_us`, and the journal span at the measured
+    /// interval, so a late record still lands where the stage ran.
+    pub fn record_stage(
+        &self,
+        stage: Stage,
+        started: Instant,
+        wall: Duration,
+        cpu: Option<&CpuTimer>,
+        span: StageSpan<'_>,
+    ) {
+        let StageSpan {
+            tenant,
+            job,
+            ids,
+            chunk,
+            value,
+        } = span;
+        let us = wall.as_micros() as u64;
+        if let Some((hist, cpu_us)) = self.stage_profile(stage) {
+            hist.record(us);
+            if let Some(cpu) = cpu.and_then(CpuTimer::elapsed) {
+                cpu_us.add(cpu.as_micros() as u64);
+            }
+        }
+        let tenant = match stage {
+            Stage::QueueWait => Some(&tenant.queue_wait_us),
+            Stage::Convert => Some(&tenant.convert_us),
+            Stage::Upload => Some(&tenant.upload_us),
+            Stage::Apply => Some(&tenant.apply_us),
+            Stage::Copy | Stage::AckWait => None,
+        };
+        if let Some(hist) = tenant {
+            hist.record(us);
+        }
+        self.journal
+            .emit_span(stage.kind(), ids, job, 0, chunk, value, started, wall);
+    }
+
+    /// A stage's node wall histogram and CPU counter, which the Profile
+    /// stage table reads back. Queue and ack wait burn no CPU of their own.
+    pub(crate) fn stage_profile(&self, stage: Stage) -> Option<(&Histogram, &Counter)> {
+        match stage {
+            Stage::Convert => Some((&self.pipeline.convert_us, &self.pipeline.convert_cpu_us)),
+            Stage::Upload => Some((&self.pipeline.upload_us, &self.pipeline.upload_cpu_us)),
+            Stage::Copy => Some((&self.adaptive.copy_us, &self.adaptive.copy_cpu_us)),
+            Stage::Apply => Some((&self.adaptive.apply_us, &self.adaptive.apply_cpu_us)),
+            Stage::QueueWait | Stage::AckWait => None,
+        }
+    }
+}
+
+/// Who a stage span belongs to and what it carries, for
+/// [`Obs::record_stage`].
+pub struct StageSpan<'a> {
+    /// The owning job's tenant block.
+    pub tenant: &'a TenantObs,
+    /// The owning job's load token.
+    pub job: u64,
+    /// The span's own causal identity.
+    pub ids: SpanIds,
+    /// Chunk sequence / part number — kind-specific (see [`SpanEvent`]).
+    pub chunk: u64,
+    /// Rows / bytes / files — kind-specific.
+    pub value: u64,
 }
 
 impl Default for Obs {
@@ -771,9 +825,10 @@ pub struct JobObs<'a> {
 impl JobObs<'_> {
     fn emit(&self, kind: &'static str, lo: u64, hi: u64) {
         let ids = self.ids.child(self.obs.journal.next_span_id());
+        let now = Instant::now();
         self.obs
             .journal
-            .emit_span(kind, ids, self.job, 0, lo, hi, Duration::ZERO);
+            .emit_span(kind, ids, self.job, 0, lo, hi, now, Duration::ZERO);
     }
 
     /// Record one bisection decision over rows `[lo, hi)`.
@@ -786,11 +841,6 @@ impl JobObs<'_> {
     /// (the trigger for bisection or singleton isolation).
     pub fn range_error(&self, lo: u64, hi: u64) {
         self.emit("apply.range_error", lo, hi);
-    }
-
-    /// Record a transient failure retried during application.
-    pub fn transient_retry(&self, lo: u64, hi: u64) {
-        self.emit("apply.retry", lo, hi);
     }
 }
 

@@ -5,7 +5,7 @@
 //! "compiled out" baseline `bench_pr3` measures overhead against.
 
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use super::{HistogramSnapshot, RegistrySnapshot, SpanEvent, SpanIds};
 
@@ -154,6 +154,8 @@ impl MetricsRegistry {
             agg_acquires: Counter,
             agg_contended: Counter,
             agg_wait_us: Counter,
+            idle_wait_us: Counter,
+            agg_idle_wait_us: Counter,
         })
     }
 
@@ -180,19 +182,6 @@ impl Journal {
 
     /// No-op.
     #[inline(always)]
-    pub fn emit(
-        &self,
-        _kind: &'static str,
-        _job: u64,
-        _session: u64,
-        _chunk: u64,
-        _value: u64,
-        _dur: Duration,
-    ) {
-    }
-
-    /// No-op.
-    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     pub fn emit_span(
         &self,
@@ -202,6 +191,7 @@ impl Journal {
         _session: u64,
         _chunk: u64,
         _value: u64,
+        _start: Instant,
         _dur: Duration,
     ) {
     }
@@ -220,11 +210,6 @@ impl Journal {
     /// Always empty.
     pub fn events_for_job(&self, _job: u64) -> Vec<SpanEvent> {
         Vec::new()
-    }
-
-    /// Always 0.
-    pub fn now_micros(&self) -> u64 {
-        0
     }
 
     /// Always empty.
@@ -303,19 +288,21 @@ mod tests {
         let site = reg.lock_site("runtime.state");
         site.acquired_uncontended();
         site.acquired_after(Duration::from_micros(50));
+        site.idled(Duration::from_micros(70));
         site.held(Duration::from_micros(10));
         let snap = site.snapshot();
         assert_eq!(snap.site, "runtime.state");
         assert_eq!(snap.acquires, 0);
         assert_eq!(snap.contended, 0);
+        assert_eq!(snap.idle_wait_us, 0);
         assert!(reg.lock_site_snapshots().is_empty());
     }
 
     #[test]
     fn noop_journal_reports_nothing() {
         let j = Journal::new(64, None);
-        j.emit("t", 1, 0, 0, 0, Duration::ZERO);
-        j.emit_span("t", SpanIds::default(), 1, 0, 0, 0, Duration::ZERO);
+        let now = Instant::now();
+        j.emit_span("t", SpanIds::default(), 1, 0, 0, 0, now, Duration::ZERO);
         assert_eq!(j.emitted(), 0);
         assert_eq!(j.dropped(), 0);
         assert_eq!(j.next_span_id(), 0);

@@ -2,25 +2,25 @@
 //! accounting, instrumented lock primitives, and the collapsed-stack
 //! ("folded") flamegraph behind the `Profile` wire request.
 //!
-//! Three data sources feed one report:
+//! Three data sources feed one report, every number since node start:
 //!
-//! 1. **Thread CPU clocks** — [`CpuTimer`] samples the calling thread's
-//!    CPU clock (`CLOCK_THREAD_CPUTIME_ID` on Linux) at span boundaries,
-//!    so each pipeline stage accumulates wall *and* CPU microseconds. A
-//!    stage whose CPU ≪ wall is blocked (lock, I/O, sleep); CPU ≈ wall
+//! 1. **Stage records** — [`Obs::record_stage`] adds each stage's wall
+//!    to its histogram and the thread CPU a [`CpuTimer`] measured
+//!    (`CLOCK_THREAD_CPUTIME_ID` on Linux) to `profile.<stage>.cpu_us`.
+//!    A stage whose CPU ≪ wall is blocked (lock, I/O, sleep); CPU ≈ wall
 //!    means compute-bound. Platforms without the clock degrade to
-//!    wall-only (samples stay 0, nothing breaks).
+//!    wall-only (CPU stays 0, nothing breaks).
 //! 2. **Tracked locks** — [`TrackedMutex`]/[`TrackedRwLock`]/
 //!    [`TrackedCondvar`] wrap the parking_lot primitives with a static
 //!    site name, counting acquisitions, contended acquisitions (the fast
-//!    `try_lock` missed), wait-time and hold-time histograms. With `obs`
+//!    `try_lock` missed), wait-time and hold-time histograms. A condvar
+//!    sleep is idle time, counted apart from contention. With `obs`
 //!    compiled out every probe folds to nothing at compile time — the
 //!    wrappers still lock, they just never look at the clock.
-//! 3. **The span journal** — completed jobs' critical-path attribution
-//!    (PR 4, [`crate::trace::JobTrace`]) is re-aggregated into folded
-//!    flamegraph lines (`job;acquisition;convert 1234`), the input format
-//!    of every flamegraph renderer, plus the ASCII flame tree
-//!    `obs_dump --profile` prints.
+//! 3. **Folded jobs** — each completed job's critical-path attribution
+//!    (PR 4, [`crate::trace::JobTrace`]) is folded once, at close, into
+//!    per-stage counters rendered as folded flamegraph lines
+//!    (`job;acquisition;convert 1234`) and the ASCII flame tree.
 //!
 //! This module is compiled regardless of the `obs` feature: the handle
 //! types it stores are the feature-aliased ones from [`crate::obs`], so a
@@ -33,8 +33,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use super::{Counter, Histogram, HistogramSnapshot, Obs, SpanEvent};
-use crate::trace::JobTrace;
+use super::{Counter, Histogram, HistogramSnapshot, Obs};
+use crate::trace::{JobTrace, Stage};
 
 // --------------------------------------------------------------- CPU clock
 
@@ -103,9 +103,10 @@ impl CpuTimer {
 
 /// Per-site lock statistics: one block per static site name, interned in
 /// the registry like tenants (bounded cardinality). Wait time is how long
-/// a contended acquire blocked; hold time is how long the guard lived.
-/// Every record also bumps the registry-level `lock.*` aggregates so the
-/// sampler can follow total contention as one rate series.
+/// a contended acquire blocked; idle wait is how long a condvar slept for
+/// work; hold time is how long the guard lived. Every record also bumps
+/// the registry-level `lock.*` aggregates so the sampler can follow total
+/// contention as one rate series.
 pub struct LockSiteObs {
     /// The static site name, e.g. `"runtime.state"` or `"cdw.table/T1"`.
     pub site: String,
@@ -117,11 +118,15 @@ pub struct LockSiteObs {
     pub wait_us: Histogram,
     /// Guard lifetime per acquisition, µs.
     pub hold_us: Histogram,
+    /// Condvar sleep waiting for work, µs — idle time, not contention.
+    pub idle_wait_us: Counter,
     /// Registry-wide aggregate clones (`lock.acquires`, `lock.contended`,
-    /// `lock.wait_us`) bumped alongside the per-site handles.
+    /// `lock.wait_us`, `lock.idle_wait_us`) bumped alongside the per-site
+    /// handles.
     pub(crate) agg_acquires: Counter,
     pub(crate) agg_contended: Counter,
     pub(crate) agg_wait_us: Counter,
+    pub(crate) agg_idle_wait_us: Counter,
 }
 
 impl LockSiteObs {
@@ -144,10 +149,48 @@ impl LockSiteObs {
         self.agg_wait_us.add(us);
     }
 
+    /// Record a condvar sleep of `wait`: idle time, never contention.
+    #[inline]
+    pub fn idled(&self, wait: Duration) {
+        let us = wait.as_micros() as u64;
+        self.idle_wait_us.add(us);
+        self.agg_idle_wait_us.add(us);
+    }
+
     /// Record how long a guard was held.
     #[inline]
     pub fn held(&self, dur: Duration) {
         self.hold_us.record_duration(dur);
+    }
+
+    /// Take a lock through its fast path `try_take`, falling back to the
+    /// blocking `take` under a timer: the one contention probe every
+    /// tracked lock shares. With `obs` compiled out it is just `take`.
+    #[inline]
+    pub(crate) fn acquire<G>(
+        &self,
+        try_take: impl FnOnce() -> Option<G>,
+        take: impl FnOnce() -> G,
+    ) -> G {
+        if !super::enabled() {
+            return take();
+        }
+        if let Some(guard) = try_take() {
+            self.acquired_uncontended();
+            return guard;
+        }
+        let blocked = Instant::now();
+        let guard = take();
+        self.acquired_after(blocked.elapsed());
+        guard
+    }
+
+    /// Record the hold of a guard taken at `held_from`.
+    #[inline]
+    fn release(&self, held_from: Option<Instant>) {
+        if let Some(held) = held_from {
+            self.held(held.elapsed());
+        }
     }
 
     /// Point-in-time view of this site.
@@ -158,6 +201,7 @@ impl LockSiteObs {
             contended: self.contended.value(),
             wait_us: self.wait_us.snapshot("wait_us"),
             hold_us: self.hold_us.snapshot("hold_us"),
+            idle_wait_us: self.idle_wait_us.value(),
         }
     }
 }
@@ -175,6 +219,8 @@ pub struct LockSiteSnapshot {
     pub wait_us: HistogramSnapshot,
     /// Hold-time histogram, µs.
     pub hold_us: HistogramSnapshot,
+    /// Condvar sleep waiting for work, µs (idle, not contention).
+    pub idle_wait_us: u64,
 }
 
 impl LockSiteSnapshot {
@@ -188,12 +234,13 @@ impl LockSiteSnapshot {
         };
         format!(
             "{{\"site\": \"{}\", \"acquires\": {}, \"contended\": {}, \
-             \"wait_us\": {}, \"hold_us\": {}}}",
+             \"wait_us\": {}, \"hold_us\": {}, \"idle_wait_us\": {}}}",
             super::render::json_escape(&self.site),
             self.acquires,
             self.contended,
             h(&self.wait_us),
             h(&self.hold_us),
+            self.idle_wait_us,
         )
     }
 }
@@ -219,35 +266,13 @@ impl<T> TrackedMutex<T> {
 
     /// Acquire, recording contention and (on drop) hold time.
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-        if !super::enabled() {
-            return TrackedMutexGuard {
-                guard: self.inner.lock(),
-                site: &self.site,
-                held_from: None,
-            };
-        }
-        let guard = match self.inner.try_lock() {
-            Some(guard) => {
-                self.site.acquired_uncontended();
-                guard
-            }
-            None => {
-                let blocked = Instant::now();
-                let guard = self.inner.lock();
-                self.site.acquired_after(blocked.elapsed());
-                guard
-            }
-        };
         TrackedMutexGuard {
-            guard,
+            guard: self
+                .site
+                .acquire(|| self.inner.try_lock(), || self.inner.lock()),
             site: &self.site,
-            held_from: Some(Instant::now()),
+            held_from: super::enabled().then(Instant::now),
         }
-    }
-
-    /// The site this lock reports to.
-    pub fn site(&self) -> &Arc<LockSiteObs> {
-        &self.site
     }
 }
 
@@ -273,15 +298,14 @@ impl<T> DerefMut for TrackedMutexGuard<'_, T> {
 
 impl<T> Drop for TrackedMutexGuard<'_, T> {
     fn drop(&mut self) {
-        if let Some(held) = self.held_from {
-            self.site.held(held.elapsed());
-        }
+        self.site.release(self.held_from);
     }
 }
 
-/// A `parking_lot::Condvar` that reports wait time to a [`LockSiteObs`].
-/// The guard's hold timer pauses across the wait, so `hold_us` measures
-/// time actually holding the lock, not time asleep on the condvar.
+/// A `parking_lot::Condvar` that reports its sleeps to a [`LockSiteObs`]
+/// as idle wait. The guard's hold timer pauses across the wait, so
+/// `hold_us` measures time actually holding the lock, not time asleep on
+/// the condvar.
 pub struct TrackedCondvar {
     inner: Condvar,
     site: Arc<LockSiteObs>,
@@ -296,19 +320,17 @@ impl TrackedCondvar {
         }
     }
 
-    /// Block until notified. Records the sleep as a contended acquire of
-    /// the site (wait histogram + contended counter).
+    /// Block until notified. Records the sleep as the site's idle wait: a
+    /// worker waiting for work is not contending for anything.
     pub fn wait<T>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
         if !super::enabled() {
             self.inner.wait(&mut guard.guard);
             return;
         }
-        if let Some(held) = guard.held_from.take() {
-            guard.site.held(held.elapsed());
-        }
+        guard.site.release(guard.held_from.take());
         let slept = Instant::now();
         self.inner.wait(&mut guard.guard);
-        self.site.acquired_after(slept.elapsed());
+        self.site.idled(slept.elapsed());
         guard.held_from = Some(Instant::now());
     }
 
@@ -320,11 +342,6 @@ impl TrackedCondvar {
     /// Wake every waiter.
     pub fn notify_all(&self) {
         self.inner.notify_all();
-    }
-
-    /// The site this condvar reports to.
-    pub fn site(&self) -> &Arc<LockSiteObs> {
-        &self.site
     }
 }
 
@@ -347,63 +364,24 @@ impl<T> TrackedRwLock<T> {
 
     /// Shared acquire.
     pub fn read(&self) -> TrackedReadGuard<'_, T> {
-        if !super::enabled() {
-            return TrackedReadGuard {
-                guard: self.inner.read(),
-                site: &self.site,
-                held_from: None,
-            };
-        }
-        let guard = match self.inner.try_read() {
-            Some(guard) => {
-                self.site.acquired_uncontended();
-                guard
-            }
-            None => {
-                let blocked = Instant::now();
-                let guard = self.inner.read();
-                self.site.acquired_after(blocked.elapsed());
-                guard
-            }
-        };
         TrackedReadGuard {
-            guard,
+            guard: self
+                .site
+                .acquire(|| self.inner.try_read(), || self.inner.read()),
             site: &self.site,
-            held_from: Some(Instant::now()),
+            held_from: super::enabled().then(Instant::now),
         }
     }
 
     /// Exclusive acquire.
     pub fn write(&self) -> TrackedWriteGuard<'_, T> {
-        if !super::enabled() {
-            return TrackedWriteGuard {
-                guard: self.inner.write(),
-                site: &self.site,
-                held_from: None,
-            };
-        }
-        let guard = match self.inner.try_write() {
-            Some(guard) => {
-                self.site.acquired_uncontended();
-                guard
-            }
-            None => {
-                let blocked = Instant::now();
-                let guard = self.inner.write();
-                self.site.acquired_after(blocked.elapsed());
-                guard
-            }
-        };
         TrackedWriteGuard {
-            guard,
+            guard: self
+                .site
+                .acquire(|| self.inner.try_write(), || self.inner.write()),
             site: &self.site,
-            held_from: Some(Instant::now()),
+            held_from: super::enabled().then(Instant::now),
         }
-    }
-
-    /// The site this lock reports to.
-    pub fn site(&self) -> &Arc<LockSiteObs> {
-        &self.site
     }
 }
 
@@ -423,9 +401,7 @@ impl<T> Deref for TrackedReadGuard<'_, T> {
 
 impl<T> Drop for TrackedReadGuard<'_, T> {
     fn drop(&mut self) {
-        if let Some(held) = self.held_from {
-            self.site.held(held.elapsed());
-        }
+        self.site.release(self.held_from);
     }
 }
 
@@ -451,62 +427,45 @@ impl<T> DerefMut for TrackedWriteGuard<'_, T> {
 
 impl<T> Drop for TrackedWriteGuard<'_, T> {
     fn drop(&mut self) {
-        if let Some(held) = self.held_from {
-            self.site.held(held.elapsed());
-        }
+        self.site.release(self.held_from);
     }
 }
 
 // ------------------------------------------------------- folded flamegraph
 
-/// Map a PR 4 attribution stage to its folded-stack path. The hierarchy
-/// mirrors the job phases: acquisition (ack wait, queue, convert, upload,
-/// COPY) and application (apply), with unattributed time under
-/// `job;other`. Leaf values are the attribution values verbatim, so
-/// folded per-stage totals reconcile exactly with `JobTrace`.
-fn folded_path(stage: &str) -> &'static str {
-    match stage {
-        "ack_wait" => "job;acquisition;ack_wait",
-        "queue_wait" => "job;acquisition;queue_wait",
-        "convert" => "job;acquisition;convert",
-        "upload" => "job;acquisition;upload",
-        "copy" => "job;acquisition;copy",
-        "apply" => "job;application;apply",
-        _ => "job;other",
-    }
-}
-
-/// Aggregate the journal's retained events into collapsed-stack
-/// ("folded") flamegraph text: one `path value` line per stack, the
-/// input format of standard flamegraph tooling. Returns the text plus
-/// how many jobs contributed (jobs whose `job.begin` survives in the
-/// ring). Values are microseconds of attributed wall time.
-pub fn folded_flamegraph(events: &[SpanEvent]) -> (String, u64) {
-    use std::collections::BTreeMap;
-    let mut by_job: BTreeMap<u64, Vec<SpanEvent>> = BTreeMap::new();
-    for ev in events {
-        if ev.job != 0 {
-            by_job.entry(ev.job).or_default().push(*ev);
+impl Obs {
+    /// Fold a closed job's trace attribution into the flamegraph counters,
+    /// once. A trace that is incomplete or has orphans (the ring evicted
+    /// part of it) would misattribute, so it is counted as missed.
+    pub fn fold_job(&self, job: u64) {
+        if !super::enabled() {
+            return;
         }
-    }
-    let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut jobs = 0u64;
-    for evs in by_job.values() {
-        let Some(trace) = JobTrace::assemble(evs) else {
-            continue;
-        };
-        jobs += 1;
-        for (stage, micros) in &trace.attribution {
-            if *micros > 0 {
-                *totals.entry(folded_path(stage)).or_default() += micros;
+        match JobTrace::assemble(&self.journal.events_for_job(job)) {
+            Some(trace) if trace.complete && trace.orphans == 0 => {
+                self.fold.jobs.inc();
+                for (bucket, (_, us)) in self.fold.stage_us.iter().zip(&trace.attribution) {
+                    bucket.add(*us);
+                }
             }
+            _ => self.fold.missed_jobs.inc(),
         }
     }
-    let mut out = String::new();
-    for (path, micros) in &totals {
-        out.push_str(&format!("{path} {micros}\n"));
+
+    /// The fold counters as collapsed-stack text, one `path value` line
+    /// (µs) per non-empty bucket, with paths mirroring the job phases.
+    fn folded_text(&self) -> String {
+        let mut lines: Vec<String> = (self.fold.stage_us.iter().enumerate())
+            .filter(|(_, c)| c.value() > 0)
+            .map(|(i, c)| match Stage::ALL.get(i) {
+                Some(Stage::Apply) => format!("job;application;apply {}\n", c.value()),
+                Some(stage) => format!("job;acquisition;{} {}\n", stage.name(), c.value()),
+                None => format!("job;other {}\n", c.value()),
+            })
+            .collect();
+        lines.sort_unstable();
+        lines.concat()
     }
-    (out, jobs)
 }
 
 /// Render folded-stack text as an ASCII flame tree: one row per frame,
@@ -543,7 +502,7 @@ pub fn render_flame_ascii(folded: &str) -> String {
 
     let grand = root.total();
     if grand == 0 {
-        return "flame: (empty — no completed jobs in the journal)\n".to_string();
+        return "flame: (empty — no completed jobs folded)\n".to_string();
     }
     fn push(out: &mut String, name: &str, node: &Node, depth: usize, grand: u64) {
         let total = node.total();
@@ -574,11 +533,12 @@ pub fn render_flame_ascii(folded: &str) -> String {
 pub struct StageCpuProfile {
     /// Stage name (`convert`/`upload`/`copy`/`apply`).
     pub stage: &'static str,
-    /// Wall time accumulated across all sampled executions, µs.
+    /// Wall time across all recorded executions, µs (the stage
+    /// histogram's sum).
     pub wall_us: u64,
-    /// Thread CPU time accumulated across all sampled executions, µs.
+    /// Thread CPU time across all recorded executions, µs.
     pub cpu_us: u64,
-    /// Executions where a CPU sample pair succeeded.
+    /// Recorded executions (the stage histogram's count).
     pub samples: u64,
 }
 
@@ -604,10 +564,14 @@ pub struct PoolProfile {
 /// How many contended lock sites the Profile reply ranks.
 pub const PROFILE_TOP_K: usize = 16;
 
+/// The window every Profile number covers: counters and folded jobs
+/// accumulate from node start and are never reset or evicted.
+pub const PROFILE_WINDOW: &str = "since node start";
+
 /// The full profiling view behind `Virtualizer::profile()` and the
 /// `Profile` wire request: per-stage CPU/wall, top-K contended lock
 /// sites (ranked by total wait, contended-only), pool utilization, and
-/// the folded flamegraph.
+/// the folded flamegraph — all over [`PROFILE_WINDOW`].
 #[derive(Debug, Clone, Default)]
 pub struct ProfileReport {
     /// Whether the `obs` feature is compiled in.
@@ -622,26 +586,31 @@ pub struct ProfileReport {
     pub pool: PoolProfile,
     /// Jobs whose traces contributed to the folded flamegraph.
     pub folded_jobs: u64,
+    /// Completed jobs left out of the flamegraph because their trace was
+    /// incomplete or orphaned at close.
+    pub folded_missed_jobs: u64,
     /// Collapsed-stack flamegraph text (`path value` lines, µs).
     pub folded: String,
 }
 
 impl ProfileReport {
-    /// Collect the report from a node's hub: stage counters, the
-    /// registry's interned lock sites, pool gauges, and the journal.
+    /// Collect the report from a node's hub: stage histograms and CPU
+    /// counters, the registry's interned lock sites, pool gauges, and the
+    /// fold counters.
     pub fn collect(obs: &Obs) -> ProfileReport {
-        let stage = |name: &'static str, p: &super::StageProf| StageCpuProfile {
-            stage: name,
-            wall_us: p.wall_us.value(),
-            cpu_us: p.cpu_us.value(),
-            samples: p.samples.value(),
-        };
-        let stages = vec![
-            stage("convert", &obs.profile.convert),
-            stage("upload", &obs.profile.upload),
-            stage("copy", &obs.profile.copy),
-            stage("apply", &obs.profile.apply),
-        ];
+        let stages = [Stage::Convert, Stage::Upload, Stage::Copy, Stage::Apply]
+            .into_iter()
+            .filter_map(|stage| {
+                let (wall, cpu) = obs.stage_profile(stage)?;
+                let wall = wall.snapshot(stage.name());
+                Some(StageCpuProfile {
+                    stage: stage.name(),
+                    wall_us: wall.sum,
+                    cpu_us: cpu.value(),
+                    samples: wall.count,
+                })
+            })
+            .collect();
         let mut locks: Vec<LockSiteSnapshot> = obs
             .registry
             .lock_site_snapshots()
@@ -664,14 +633,14 @@ impl ProfileReport {
             idle_wakeups: obs.pool.idle_wakeups.value(),
             rr_skips: obs.pool.rr_skips.value(),
         };
-        let (folded, folded_jobs) = folded_flamegraph(&obs.journal.tail(obs.journal.retained()));
         ProfileReport {
             enabled: super::enabled(),
             stages,
             locks,
             pool,
-            folded_jobs,
-            folded,
+            folded_jobs: obs.fold.jobs.value(),
+            folded_missed_jobs: obs.fold.missed_jobs.value(),
+            folded: obs.folded_text(),
         }
     }
 
@@ -681,6 +650,7 @@ impl ProfileReport {
         let mut out = String::with_capacity(2048);
         out.push_str("{\n");
         out.push_str(&format!("  \"enabled\": {},\n", self.enabled));
+        out.push_str(&format!("  \"window\": \"{PROFILE_WINDOW}\",\n"));
         out.push_str("  \"stages\": [");
         for (i, s) in self.stages.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -710,6 +680,10 @@ impl ProfileReport {
         ));
         out.push_str(&format!("  \"folded_jobs\": {},\n", self.folded_jobs));
         out.push_str(&format!(
+            "  \"folded_missed_jobs\": {},\n",
+            self.folded_missed_jobs
+        ));
+        out.push_str(&format!(
             "  \"folded\": \"{}\"\n",
             super::render::json_escape(&self.folded)
         ));
@@ -721,7 +695,10 @@ impl ProfileReport {
     /// line, and the ASCII flame tree.
     pub fn render_ascii(&self) -> String {
         let mut out = String::with_capacity(2048);
-        out.push_str(&format!("profile (enabled: {})\n\n", self.enabled));
+        out.push_str(&format!(
+            "profile (enabled: {}, window: {PROFILE_WINDOW})\n\n",
+            self.enabled
+        ));
         out.push_str("stage      wall_us      cpu_us  samples  cpu/wall\n");
         for s in &self.stages {
             let ratio = if s.wall_us > 0 {
@@ -759,8 +736,8 @@ impl ProfileReport {
             self.pool.rr_skips,
         ));
         out.push_str(&format!(
-            "folded stacks from {} job(s):\n",
-            self.folded_jobs
+            "folded stacks from {} job(s), {} missed ({PROFILE_WINDOW}):\n",
+            self.folded_jobs, self.folded_missed_jobs
         ));
         out.push_str(&render_flame_ascii(&self.folded));
         out
@@ -771,6 +748,7 @@ impl ProfileReport {
 mod tests {
     use super::super::SpanIds;
     use super::*;
+    use std::time::Instant;
 
     fn site(registry: &super::super::MetricsRegistry, name: &str) -> Arc<LockSiteObs> {
         registry.lock_site(name)
@@ -786,7 +764,7 @@ mod tests {
         }
         assert_eq!(*m.lock(), 8);
         if super::super::enabled() {
-            let snap = m.site().snapshot();
+            let snap = m.site.snapshot();
             assert_eq!(snap.acquires, 2);
             assert_eq!(snap.contended, 0);
             assert_eq!(snap.hold_us.count, 2, "hold recorded on both drops");
@@ -809,7 +787,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         drop(guard);
         t.join().unwrap();
-        let snap = m.site().snapshot();
+        let snap = m.site.snapshot();
         assert_eq!(snap.acquires, 2);
         assert_eq!(snap.contended, 1, "second acquire blocked");
         assert!(
@@ -827,7 +805,7 @@ mod tests {
         l.write().push(4);
         assert_eq!(l.read().len(), 4);
         if super::super::enabled() {
-            assert_eq!(l.site().snapshot().acquires, 3);
+            assert_eq!(l.site.snapshot().acquires, 3);
         }
     }
 
@@ -850,12 +828,12 @@ mod tests {
         *m.lock() = true;
         cv.notify_all();
         waiter.join().unwrap();
-        let cv_snap = cv.site().snapshot();
-        assert!(cv_snap.contended >= 1, "condvar wait recorded");
-        assert!(cv_snap.wait_us.sum >= 5_000, "slept ≥ 5ms");
+        let cv_snap = cv.site.snapshot();
+        assert_eq!(cv_snap.contended, 0, "a condvar sleep is not contention");
+        assert!(cv_snap.idle_wait_us >= 5_000, "slept ≥ 5ms");
         // The waiter held the lock across a 20ms sleep, but hold time
         // pauses during the wait — p99 hold must be far below the sleep.
-        let lock_snap = m.site().snapshot();
+        let lock_snap = m.site.snapshot();
         assert!(
             lock_snap.hold_us.max < 15_000,
             "hold timer paused during wait, saw {}us",
@@ -863,55 +841,101 @@ mod tests {
         );
     }
 
-    fn ev(kind: &'static str, span: u64, parent: u64, at: u64, dur: u64, job: u64) -> SpanEvent {
-        SpanEvent {
-            seq: span,
-            at_micros: at,
-            kind,
-            ids: SpanIds {
-                trace: 1,
-                span,
-                parent,
-            },
-            job,
-            session: 0,
-            chunk: 0,
-            value: 0,
-            dur_micros: dur,
+    #[test]
+    fn condvar_wait_is_idle_not_contention() {
+        if !super::super::enabled() {
+            return;
         }
+        let reg = super::super::MetricsRegistry::new();
+        let m = Arc::new(TrackedMutex::new(site(&reg, "test.idle.lock"), false));
+        let cv = Arc::new(TrackedCondvar::new(site(&reg, "test.idle")));
+        let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
+        // This thread holds the lock until it sleeps on the condvar, so
+        // the notifier's lock — and its 5 ms hold before notifying — both
+        // fall inside the wait.
+        let mut guard = m.lock();
+        let notifier = std::thread::spawn(move || {
+            let mut flag = m2.lock();
+            std::thread::sleep(Duration::from_millis(5));
+            *flag = true;
+            cv2.notify_all();
+        });
+        while !*guard {
+            cv.wait(&mut guard);
+        }
+        drop(guard);
+        notifier.join().unwrap();
+        let snap = cv.site.snapshot();
+        assert_eq!(snap.contended, 0);
+        assert_eq!(snap.wait_us.count, 0);
+        assert!(
+            snap.idle_wait_us >= 5_000,
+            "idle wait {}us",
+            snap.idle_wait_us
+        );
+        let agg = |name: &str| {
+            reg.snapshot()
+                .counters
+                .into_iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |(_, v)| v)
+        };
+        assert!(agg("lock.idle_wait_us") >= 5_000);
+        assert_eq!(agg("lock.wait_us"), 0, "no contended wait anywhere");
     }
 
     #[test]
-    fn folded_flamegraph_reconciles_with_trace_attribution() {
-        // job.begin at 0; convert completes at 400 (dur 300); apply
-        // completes at 1000 (dur 500); job.end wall 1000.
-        let events = vec![
-            ev("job.begin", 1, 0, 0, 0, 9),
-            ev("chunk.convert", 2, 1, 400, 300, 9),
-            ev("apply", 3, 1, 1000, 500, 9),
-            ev("job.end", 1, 0, 1000, 1000, 9),
-        ];
-        let (folded, jobs) = folded_flamegraph(&events);
-        assert_eq!(jobs, 1);
-        assert!(folded.contains("job;acquisition;convert 300"), "{folded}");
-        assert!(folded.contains("job;application;apply 500"), "{folded}");
-        assert!(folded.contains("job;other 200"), "{folded}");
-        // Folded totals partition the wall exactly, like the trace.
-        let trace = JobTrace::assemble(&events).unwrap();
-        let folded_total: u64 = folded
-            .lines()
-            .filter_map(|l| l.rsplit_once(' '))
-            .filter_map(|(_, v)| v.parse::<u64>().ok())
-            .sum();
-        assert_eq!(folded_total, trace.wall_micros);
-    }
+    fn fold_job_reconciles_with_trace_and_counts_missed() {
+        if !super::super::enabled() {
+            return;
+        }
+        let obs = Obs::default();
+        let tenant = obs.tenant("t");
+        let root = SpanIds {
+            trace: 1,
+            span: obs.journal.next_span_id(),
+            parent: 0,
+        };
+        let t0 = Instant::now();
+        let us = Duration::from_micros;
+        obs.journal
+            .emit_span("job.begin", root, 9, 0, 0, 0, t0, Duration::ZERO);
+        // convert over [100, 400], apply over [500, 1000], job wall 1000.
+        for (stage, start, wall) in [(Stage::Convert, 100, 300), (Stage::Apply, 500, 500)] {
+            let span = super::super::StageSpan {
+                tenant: &tenant,
+                job: 9,
+                ids: root.child(obs.journal.next_span_id()),
+                chunk: 0,
+                value: 0,
+            };
+            obs.record_stage(stage, t0 + us(start), us(wall), None, span);
+        }
+        obs.journal
+            .emit_span("job.end", root, 9, 0, 0, 0, t0, us(1000));
+        obs.fold_job(9);
+        assert_eq!(obs.fold.jobs.value(), 1);
+        assert_eq!(obs.fold.missed_jobs.value(), 0);
+        let folded = obs.folded_text();
+        assert_eq!(
+            folded,
+            "job;acquisition;convert 300\njob;application;apply 500\njob;other 200\n"
+        );
 
-    #[test]
-    fn folded_flamegraph_skips_jobs_without_begin() {
-        let events = vec![ev("chunk.convert", 2, 1, 400, 300, 9)];
-        let (folded, jobs) = folded_flamegraph(&events);
-        assert_eq!(jobs, 0);
-        assert!(folded.is_empty());
+        // A job still open at fold time (no job.end) and a job whose
+        // begin is gone are missed, not folded.
+        let open = SpanIds {
+            trace: 2,
+            span: obs.journal.next_span_id(),
+            parent: 0,
+        };
+        obs.journal
+            .emit_span("job.begin", open, 10, 0, 0, 0, t0, Duration::ZERO);
+        obs.fold_job(10);
+        obs.fold_job(11);
+        assert_eq!(obs.fold.jobs.value(), 1);
+        assert_eq!(obs.fold.missed_jobs.value(), 2);
+        assert_eq!(obs.folded_text(), folded, "missed jobs fold nothing");
     }
 
     #[test]
@@ -967,6 +991,7 @@ mod tests {
                 ..Default::default()
             },
             folded_jobs: 1,
+            folded_missed_jobs: 2,
             folded: "job;other 5\n".into(),
         };
         let json = report.to_json();
@@ -979,6 +1004,9 @@ mod tests {
             "\"contended\": 3",
             "\"pool\": {\"workers\": 4, \"busy_workers\": 2",
             "\"folded_jobs\": 1",
+            "\"folded_missed_jobs\": 2",
+            "\"window\": \"since node start\"",
+            "\"idle_wait_us\": 0",
             "\"folded\": \"job;other 5\\n\"",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
@@ -987,5 +1015,6 @@ mod tests {
         assert!(ascii.contains("convert"), "{ascii}");
         assert!(ascii.contains("cdw.table/\"T\""), "{ascii}");
         assert!(ascii.contains("flame:"), "{ascii}");
+        assert!(ascii.contains("2 missed"), "{ascii}");
     }
 }

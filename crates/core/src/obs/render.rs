@@ -411,6 +411,7 @@ mod tests {
                         p95: 50,
                         p99: 60,
                     },
+                    idle_wait_us: 0,
                 },
                 super::super::LockSiteSnapshot {
                     site: "runtime.state".into(),

@@ -35,8 +35,9 @@ use crate::convert::{AcqError, ConvertScratch, DataConverter};
 use crate::credit::Credit;
 use crate::fault::{retry_with, FaultInjector, RetryPolicy};
 use crate::memory::MemGuard;
-use crate::obs::{CpuTimer, Obs, SpanIds, TenantObs, TrackedCondvar, TrackedMutex};
+use crate::obs::{CpuTimer, Obs, SpanIds, StageSpan, TenantObs, TrackedCondvar, TrackedMutex};
 use crate::pool::BufferPool;
+use crate::trace::Stage;
 
 /// A raw chunk travelling from a session handler into the pipeline. The
 /// credit and memory reservation ride along.
@@ -123,6 +124,17 @@ struct JobRt {
 impl JobRt {
     fn drained(&self) -> bool {
         self.retired.load(Ordering::Acquire) >= self.queued.load(Ordering::Acquire)
+    }
+
+    /// A fresh stage span under this job's root, carrying `chunk`/`value`.
+    fn stage_span<'a>(&'a self, obs: &Obs, chunk: u64, value: u64) -> StageSpan<'a> {
+        StageSpan {
+            tenant: &self.tenant,
+            job: self.job,
+            ids: self.ids.child(obs.journal.next_span_id()),
+            chunk,
+            value,
+        }
     }
 }
 
@@ -660,16 +672,12 @@ fn convert_work(shared: &RtShared, job: &JobRt, chunk: RawChunk, scratch: &mut C
     let obs = &shared.obs;
     // How long the chunk sat on the job queue before a worker picked it
     // up — the trace's queue_wait stage.
-    let queue_wait = chunk.enqueued.elapsed();
-    job.tenant.queue_wait_us.record_duration(queue_wait);
-    obs.journal.emit_span(
-        "chunk.queue",
-        job.ids.child(obs.journal.next_span_id()),
-        job.job,
-        0,
-        chunk.base_seq,
-        chunk.data.len() as u64,
-        queue_wait,
+    obs.record_stage(
+        Stage::QueueWait,
+        chunk.enqueued,
+        chunk.enqueued.elapsed(),
+        None,
+        job.stage_span(obs, chunk.base_seq, raw_len),
     );
     if !shared.sim_cost.is_zero() {
         let cost = shared
@@ -701,7 +709,7 @@ fn convert_work(shared: &RtShared, job: &JobRt, chunk: RawChunk, scratch: &mut C
         job.converter
             .convert_into(chunk.base_seq, &chunk.data, &mut out, scratch)
     }));
-    let elapsed = convert_started.elapsed();
+    let wall = convert_started.elapsed();
     let result = match outcome {
         Ok(result) => result,
         Err(panic) => {
@@ -727,17 +735,12 @@ fn convert_work(shared: &RtShared, job: &JobRt, chunk: RawChunk, scratch: &mut C
             obs.pipeline.convert_chunks.inc();
             obs.pipeline.convert_rows.add(rows as u64);
             obs.pipeline.convert_bytes.add(out.len() as u64);
-            obs.pipeline.convert_us.record_duration(elapsed);
-            obs.profile.convert.record(elapsed, cpu.elapsed());
-            job.tenant.convert_us.record_duration(elapsed);
-            obs.journal.emit_span(
-                "chunk.convert",
-                job.ids.child(obs.journal.next_span_id()),
-                job.job,
-                0,
-                chunk.base_seq,
-                rows as u64,
-                elapsed,
+            obs.record_stage(
+                Stage::Convert,
+                convert_started,
+                wall,
+                Some(&cpu),
+                job.stage_span(obs, chunk.base_seq, rows as u64),
             );
             let mut memory = chunk.memory;
             memory.shrink_to(out.len());
@@ -814,6 +817,7 @@ fn write_work(shared: &RtShared, job: &JobRt, conv: Converted) {
             0,
             part as u64,
             data.len() as u64,
+            Instant::now(),
             Duration::ZERO,
         );
         upload_part(shared, job, data, part);
@@ -839,10 +843,13 @@ fn upload_part(shared: &RtShared, job: &JobRt, file: Vec<u8>, part: u32) {
         |_| true,
         || job.loader.upload_part_from(&key, &file),
     );
-    let elapsed = upload_started.elapsed();
-    obs.pipeline.upload_us.record_duration(elapsed);
-    obs.profile.upload.record(elapsed, cpu.elapsed());
-    job.tenant.upload_us.record_duration(elapsed);
+    obs.record_stage(
+        Stage::Upload,
+        upload_started,
+        upload_started.elapsed(),
+        Some(&cpu),
+        job.stage_span(obs, part as u64 + 1, file.len() as u64),
+    );
     if retries > 0 {
         obs.pipeline.upload_retries.add(retries);
         obs.journal.emit_span(
@@ -852,6 +859,7 @@ fn upload_part(shared: &RtShared, job: &JobRt, file: Vec<u8>, part: u32) {
             0,
             part as u64 + 1,
             retries,
+            Instant::now(),
             Duration::ZERO,
         );
         job.upload_retries.fetch_add(retries, Ordering::Relaxed);
@@ -860,15 +868,6 @@ fn upload_part(shared: &RtShared, job: &JobRt, file: Vec<u8>, part: u32) {
         Ok(_) => {
             obs.pipeline.upload_parts.inc();
             obs.pipeline.upload_bytes.add(file.len() as u64);
-            obs.journal.emit_span(
-                "file.upload",
-                job.ids.child(obs.journal.next_span_id()),
-                job.job,
-                0,
-                part as u64 + 1,
-                file.len() as u64,
-                elapsed,
-            );
             job.files.lock().push((part, key));
         }
         Err(e) => job.fatal.lock().push(format!("upload {key}: {e}")),

@@ -35,7 +35,7 @@ use etlv_protocol::transport::{RecvOutcome, Transport};
 use parking_lot::Mutex;
 
 use crate::gateway::{error_msg, Virtualizer};
-use crate::obs::{LockSiteObs, TenantObs, TrackedMutex};
+use crate::obs::{LockSiteObs, SpanIds, TenantObs, TrackedMutex};
 
 /// How often a polling serve loop wakes to check the idle clock. Only
 /// blocking-driver sessions with a nonzero idle timeout pay this; the
@@ -256,12 +256,14 @@ impl SessionCore {
                         self.job_token = logon.job_token;
                         self.session = Some(entry);
                         node.obs.gateway.sessions_opened.inc();
-                        node.obs.journal.emit(
+                        node.obs.journal.emit_span(
                             "session.logon",
+                            SpanIds::default(),
                             self.job_token,
                             id as u64,
                             0,
                             0,
+                            Instant::now(),
                             Duration::ZERO,
                         );
                         Message::LogonOk(etlv_protocol::message::LogonOk {
@@ -450,12 +452,14 @@ pub(crate) fn close_session(v: &Virtualizer, entry: &SessionEntry, clean: bool) 
         .gateway
         .active_sessions
         .set(node.registry.active() as u64);
-    node.obs.journal.emit(
+    node.obs.journal.emit_span(
         "session.close",
+        SpanIds::default(),
         0,
         entry.id as u64,
         u64::from(clean),
         u64::from(entry.role == SessionRole::Data),
+        Instant::now(),
         Duration::ZERO,
     );
 }

@@ -21,7 +21,8 @@
 use crate::obs::{SpanEvent, SpanIds};
 
 /// Pipeline stages wall time is attributed to, in *ascending* charge
-/// priority (later variants win overlapping segments).
+/// priority (later variants win overlapping segments). A stage's
+/// discriminant is its index in [`Stage::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// Client ack turnaround (aggregate, lowest priority).
@@ -51,17 +52,21 @@ impl Stage {
         }
     }
 
+    /// The journal event kind a closed stage is recorded as.
+    pub fn kind(self) -> &'static str {
+        match self {
+            Stage::QueueWait => "chunk.queue",
+            Stage::Convert => "chunk.convert",
+            Stage::Upload => "file.upload",
+            Stage::Copy => "copy",
+            Stage::Apply => "apply",
+            Stage::AckWait => "ack.wait",
+        }
+    }
+
     /// Map a journal event kind to the stage it represents, if any.
     pub fn classify(kind: &str) -> Option<Stage> {
-        Some(match kind {
-            "chunk.queue" => Stage::QueueWait,
-            "chunk.convert" => Stage::Convert,
-            "file.upload" => Stage::Upload,
-            "copy" => Stage::Copy,
-            "apply" => Stage::Apply,
-            "ack.wait" => Stage::AckWait,
-            _ => return None,
-        })
+        Stage::ALL.into_iter().find(|s| s.kind() == kind)
     }
 
     /// All stages, priority ascending.
@@ -212,10 +217,12 @@ impl JobTrace {
             nodes[p].children.push(c);
         }
 
-        // Attribution: partition [t0, t0+wall] by charge priority.
+        // Attribution: partition [t0, t0+wall] by charge priority. A sweep
+        // over the span edges counts open spans per stage and charges each
+        // segment to the highest stage open over it.
         let t0 = begin.at_micros;
         let t1 = t0 + wall_micros;
-        let mut intervals: Vec<(u64, u64, Stage)> = Vec::new();
+        let mut edges: Vec<(u64, usize, bool)> = Vec::new();
         for (i, node) in nodes.iter().enumerate() {
             if i == root || node.dur_micros == 0 {
                 continue;
@@ -223,49 +230,35 @@ impl JobTrace {
             let Some(stage) = Stage::classify(node.kind) else {
                 continue;
             };
-            // Timed events stamp completion; the aggregate ack.wait span
-            // has no single placement, so anchor it at job begin where
-            // every higher-priority stage can shadow it.
-            let (lo, hi) = if stage == Stage::AckWait {
-                (t0, t0.saturating_add(node.dur_micros))
-            } else {
-                (
-                    node.at_micros.saturating_sub(node.dur_micros),
-                    node.at_micros,
-                )
-            };
-            let lo = lo.clamp(t0, t1);
-            let hi = hi.clamp(t0, t1);
+            let lo = node.at_micros.saturating_sub(node.dur_micros).clamp(t0, t1);
+            let hi = node.at_micros.clamp(t0, t1);
             if hi > lo {
-                intervals.push((lo, hi, stage));
+                let s = stage as usize;
+                edges.push((lo, s, true));
+                edges.push((hi, s, false));
             }
         }
-        let mut cuts: Vec<u64> = vec![t0, t1];
-        for &(lo, hi, _) in &intervals {
-            cuts.push(lo);
-            cuts.push(hi);
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
+        edges.sort_unstable();
+        let mut open = [0u32; 6];
         let mut totals = [0u64; 6];
         let mut other = 0u64;
-        for w in cuts.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            if hi <= lo {
-                continue;
-            }
-            let winner = intervals
-                .iter()
-                .filter(|&&(ilo, ihi, _)| ilo <= lo && hi <= ihi)
-                .map(|&(_, _, s)| s)
-                .max();
-            match winner {
-                Some(stage) => {
-                    totals[Stage::ALL.iter().position(|&s| s == stage).unwrap()] += hi - lo;
+        let mut at = t0;
+        for (t, s, opens) in edges {
+            if t > at {
+                match open.iter().rposition(|&n| n > 0) {
+                    Some(winner) => totals[winner] += t - at,
+                    None => other += t - at,
                 }
-                None => other += hi - lo,
+                at = t;
+            }
+            if opens {
+                open[s] += 1;
+            } else {
+                open[s] -= 1;
             }
         }
+        // Every span has closed by its clamped end, so the tail is other.
+        other += t1 - at;
         let mut attribution: Vec<(&'static str, u64)> = Stage::ALL
             .iter()
             .enumerate()
@@ -436,8 +429,8 @@ mod tests {
             // COPY 1900..2100, apply phase 1900..2500.
             ev("copy", r.child(5), 2100, 200, 0, 0),
             ev("apply", r.child(6), 2500, 600, 0, 0),
-            // Aggregate ack wait, anchored at begin.
-            ev("ack.wait", r.child(7), 2500, 350, 0, 0),
+            // Aggregate ack wait, recorded over [begin, begin + 350].
+            ev("ack.wait", r.child(7), 1350, 350, 0, 0),
             ev("job.end", r, 2500, 1500, 0, 200),
         ];
         let t = JobTrace::assemble(&events).expect("trace assembles");

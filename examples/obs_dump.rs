@@ -21,14 +21,17 @@
 //! saturation — both directly and fetched over the wire with the
 //! `Health` request. The two flags compose.
 //!
-//! With `--profile` the example prints the continuous-profiling report:
-//! the ASCII flame tree aggregated from the journal, per-stage CPU/wall
-//! accounting, the top contended lock sites, and the folded-stack text
-//! fetched over the wire with the `Profile` request.
+//! With `--profile` the example prints the continuous-profiling report
+//! since node start: the ASCII flame tree folded from each job's trace at
+//! close (with the count of jobs it missed), per-stage CPU/wall
+//! accounting, the top contended lock sites next to the idle condvar
+//! waits, and the folded-stack text fetched over the wire with the
+//! `Profile` request.
 
 use std::io;
 use std::sync::Arc;
 
+use etlv_core::obs::PROFILE_WINDOW;
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{ClientOptions, FnConnector, LegacyEtlClient};
 use etlv_protocol::message::{SessionRole, StatsFormat};
@@ -172,7 +175,11 @@ fn main() {
 
     if show_profile {
         let report = v.profile();
-        println!("\n== continuous profile: flame tree from the span journal ==");
+        println!("\n== continuous profile: flame tree folded at job close ==");
+        println!(
+            "folded window: {PROFILE_WINDOW}; folded_jobs {}, folded_missed_jobs {}",
+            report.folded_jobs, report.folded_missed_jobs
+        );
         print!("{}", report.render_ascii());
         println!("\n== per-stage CPU vs wall accounting ==");
         for s in &report.stages {
@@ -187,8 +194,23 @@ fn main() {
         }
         for l in &report.locks {
             println!(
-                "  {:<24} acquires {:>8}  contended {:>6}  waited {:>8} us",
-                l.site, l.acquires, l.contended, l.wait_us.sum
+                "  {:<24} acquires {:>8}  contended {:>6}  waited {:>8} us  idle {:>8} us",
+                l.site, l.acquires, l.contended, l.wait_us.sum, l.idle_wait_us
+            );
+        }
+        // Condvar sleeps are workers waiting for work: idle time, kept
+        // out of the contention ranking above.
+        println!("\n== idle waits (condvar sleeps, not contention) ==");
+        let mut idle = v.obs().registry.lock_site_snapshots();
+        idle.retain(|s| s.idle_wait_us > 0);
+        idle.sort_by_key(|s| std::cmp::Reverse(s.idle_wait_us));
+        if idle.is_empty() {
+            println!("  (no idle waits observed)");
+        }
+        for s in &idle {
+            println!(
+                "  {:<24} contended {:>6}  waited {:>8} us  idle {:>8} us",
+                s.site, s.contended, s.wait_us.sum, s.idle_wait_us
             );
         }
 

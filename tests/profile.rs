@@ -1,9 +1,11 @@
 //! The PR 9 continuous-profiling surface, end to end: lock-contention
 //! attribution on a hammered CDW table, the `Profile` wire round trip in
 //! both renderings, folded-flamegraph/trace reconciliation through a real
-//! load, and feature symmetry of the stub surface.
+//! load, late stage records keeping their measured placement, and feature
+//! symmetry of the stub surface.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use etlv_core::{Virtualizer, VirtualizerConfig};
 use etlv_legacy_client::{ClientOptions, LegacyEtlClient, Session};
@@ -180,6 +182,7 @@ fn profile_wire_round_trip_and_trace_reconciliation() {
     );
     // Stage CPU/wall accounting saw the pipeline stages.
     let report = v.profile();
+    assert_eq!((report.folded_jobs, report.folded_missed_jobs), (1, 0));
     let convert = report.stages.iter().find(|s| s.stage == "convert").unwrap();
     assert!(convert.samples >= 1, "convert stage sampled");
     // Single-threaded spans can't burn (much) more CPU than wall; the
@@ -195,6 +198,76 @@ fn profile_wire_round_trip_and_trace_reconciliation() {
     );
     let apply = report.stages.iter().find(|s| s.stage == "apply").unwrap();
     assert!(apply.samples >= 1, "apply stage sampled");
+}
+
+/// A stage recorded late — its thread descheduled between measuring the
+/// stage and recording it — keeps its measured interval: the span sits
+/// where the stage ran, and the stage, not `other`, is charged its full
+/// wall.
+#[test]
+fn late_stage_record_keeps_its_measured_interval() {
+    use etlv_core::obs::{Obs, SpanIds, StageSpan};
+    use etlv_core::trace::{JobTrace, Stage};
+
+    if !etlv_core::obs::enabled() {
+        return;
+    }
+    let obs = Obs::default();
+    let tenant = obs.tenant("late");
+    let root = SpanIds {
+        trace: 7,
+        span: obs.journal.next_span_id(),
+        parent: 0,
+    };
+    let job_started = Instant::now();
+    obs.journal
+        .emit_span("job.begin", root, 1, 0, 0, 0, job_started, Duration::ZERO);
+    let started = Instant::now();
+    std::thread::sleep(Duration::from_millis(3)); // the stage
+    let wall = started.elapsed();
+    std::thread::sleep(Duration::from_millis(5)); // descheduled before the record
+    let span = StageSpan {
+        tenant: &tenant,
+        job: 1,
+        ids: root.child(obs.journal.next_span_id()),
+        chunk: 0,
+        value: 0,
+    };
+    obs.record_stage(Stage::Apply, started, wall, None, span);
+    // The job's wall ends where the stage did.
+    let job_wall = (started + wall).duration_since(job_started);
+    obs.journal
+        .emit_span("job.end", root, 1, 0, 0, 0, job_started, job_wall);
+
+    let trace = JobTrace::assemble(&obs.journal.events_for_job(1)).expect("job traced");
+    let apply = trace.nodes.iter().find(|n| n.kind == "apply").unwrap();
+    // Microsecond truncation of the separate readings allows 2 µs slack.
+    let lead = started.duration_since(job_started).as_micros() as u64;
+    let measured_lo = trace.begin_micros + lead;
+    let lo = apply.at_micros - apply.dur_micros;
+    assert!(
+        lo.abs_diff(measured_lo) <= 2,
+        "apply span starts at {lo} us, it ran from {measured_lo} us"
+    );
+    let charged = |name: &str| {
+        trace
+            .attribution
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, us)| *us)
+    };
+    let wall_us = wall.as_micros() as u64;
+    assert!(
+        charged("apply") + 2 >= wall_us,
+        "apply charged {} us of its {wall_us} us wall: {:?}",
+        charged("apply"),
+        trace.attribution
+    );
+    assert!(
+        charged("other") <= lead + 2,
+        "other took the stage's time: {:?}",
+        trace.attribution
+    );
 }
 
 /// Feature symmetry: the profile surface exposes the same types and
