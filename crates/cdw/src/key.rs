@@ -2,7 +2,8 @@
 //! (uniqueness indexes, GROUP BY) and sort (ORDER BY).
 
 use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use etlv_protocol::data::Value;
 
@@ -23,7 +24,61 @@ impl Hash for RowKey {
     }
 }
 
-fn hash_value<H: Hasher>(v: &Value, state: &mut H) {
+/// A multiply-rotate hasher (the FxHash scheme) for the executor's
+/// in-memory key maps — GROUP BY, DISTINCT, uniqueness probes, statistics
+/// sampling. Keys are never adversarial there, and SipHash dominated
+/// grouping large inputs.
+#[derive(Default, Clone, Copy)]
+pub struct FastHasher(u64);
+
+const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+impl FastHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(SEED);
+    }
+}
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Hash-map builder for [`FastHasher`].
+pub type FastBuild = BuildHasherDefault<FastHasher>;
+/// A `HashMap` keyed through [`FastHasher`].
+pub type FastMap<K, V> = HashMap<K, V, FastBuild>;
+/// A `HashSet` keyed through [`FastHasher`].
+pub type FastSet<K> = HashSet<K, FastBuild>;
+
+/// Hash one value into `state` exactly as [`RowKey`] hashes its elements.
+pub fn hash_value<H: Hasher>(v: &Value, state: &mut H) {
     match v {
         Value::Null => 0u8.hash(state),
         Value::Int(x) => {

@@ -26,6 +26,7 @@
 
 pub mod batch;
 pub mod catalog;
+pub mod column;
 pub mod engine;
 pub mod error;
 pub mod eval;

@@ -20,9 +20,10 @@ use etlv_sql::ast::{BinaryOp, Expr, Literal, ObjectName};
 use etlv_sql::SqlType;
 
 use crate::catalog::Table;
+use crate::column::ColumnData;
 use crate::eval::{literal_value, numeric_value_of_str, parse_iso_date};
 use crate::index::SeekBound;
-use crate::key::{cmp_values, RowKey};
+use crate::key::cmp_values;
 
 /// Planner decision counters for one statement (or accumulated totals).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,28 +71,23 @@ impl TableStats {
         drift * 4 > self.sampled_len.max(16)
     }
 
-    /// Recompute distinct estimates from (a sample of) `rows`.
-    pub fn refresh(&mut self, rows: &[Vec<Value>], ncols: usize) {
-        use std::collections::HashSet;
-        let stride = (rows.len() / SAMPLE_CAP).max(1);
-        let mut sets: Vec<HashSet<RowKey>> = vec![HashSet::new(); ncols];
-        let mut sampled = 0usize;
-        for row in rows.iter().step_by(stride) {
-            sampled += 1;
-            for (c, set) in sets.iter_mut().enumerate() {
-                set.insert(RowKey(vec![row[c].clone()]));
-            }
-        }
-        self.sampled_len = rows.len();
-        self.distinct = sets
-            .into_iter()
-            .map(|s| {
+    /// Recompute distinct estimates from (a sample of) the first `len`
+    /// rows of `columns`.
+    pub fn refresh(&mut self, columns: &[ColumnData], len: usize) {
+        let stride = (len / SAMPLE_CAP).max(1);
+        let sample: Vec<usize> = (0..len).step_by(stride).collect();
+        let sampled = sample.len() as u64;
+        self.sampled_len = len;
+        self.distinct = columns
+            .iter()
+            .map(|col| {
                 if sampled == 0 {
                     return 1;
                 }
                 // Crude scale-up, clamped to [observed, total rows].
-                let scaled = (s.len() as u64).saturating_mul(rows.len() as u64) / sampled as u64;
-                scaled.clamp(s.len() as u64, rows.len() as u64).max(1)
+                let seen = col.distinct_count(&sample) as u64;
+                let scaled = seen.saturating_mul(len as u64) / sampled;
+                scaled.clamp(seen, len as u64).max(1)
             })
             .collect();
     }
@@ -133,13 +129,13 @@ pub fn family_of(ty: SqlType) -> Family {
 /// `None` means the comparison cannot be reproduced by a seek (wrong
 /// family, unparsable string) — the caller must fall back. NULL passes
 /// through; callers treat it as "matches nothing".
-pub fn normalize_probe(v: &Value, family: Family) -> Option<Value> {
-    match (family, v) {
+pub fn normalize_probe(v: Value, family: Family) -> Option<Value> {
+    match (family, &v) {
         (_, Value::Null) => Some(Value::Null),
-        (Family::Numeric, Value::Int(_) | Value::Float(_) | Value::Decimal(_)) => Some(v.clone()),
+        (Family::Numeric, Value::Int(_) | Value::Float(_) | Value::Decimal(_)) => Some(v),
         (Family::Numeric, Value::Str(s)) => numeric_value_of_str(s),
-        (Family::Text, Value::Str(_)) => Some(v.clone()),
-        (Family::Date, Value::Date(_)) => Some(v.clone()),
+        (Family::Text, Value::Str(_)) => Some(v),
+        (Family::Date, Value::Date(_)) => Some(v),
         (Family::Date, Value::Str(s)) => parse_iso_date(s).ok().map(Value::Date),
         _ => None,
     }
@@ -280,7 +276,7 @@ impl Access {
     /// `index_seek`, `const_empty`) are what plan-shape tests pin.
     pub fn describe(&self, table: &Table) -> String {
         match self {
-            Access::Scan => format!("full_scan table={} rows={}", table.name, table.rows.len()),
+            Access::Scan => format!("full_scan table={} rows={}", table.name, table.len()),
             Access::Empty => format!("const_empty table={} (NULL probe)", table.name),
             Access::Seek(p) => {
                 let ix = &table.indexes[p.index];
@@ -335,7 +331,7 @@ pub fn choose_access(
                         return Access::Empty;
                     }
                     let family = family_of(table.columns[col].ty);
-                    match normalize_probe(&raw, family) {
+                    match normalize_probe(raw.clone(), family) {
                         Some(v) => atoms.push(Atom {
                             col,
                             op,
@@ -362,7 +358,7 @@ pub fn choose_access(
         return Access::Scan;
     }
 
-    let rows = table.rows.len() as u64;
+    let rows = table.len() as u64;
     let mut best: Option<(usize, SeekPlan)> = None; // (score, plan)
     for (ix_pos, ix) in table.indexes.iter().enumerate() {
         // Greedy equality prefix.

@@ -6,10 +6,13 @@
 //! format (a zero-length field is NULL, `""` is the empty string,
 //! backslash escapes) — but the *semantics* differ: staged fields are the
 //! already-converted, CDW-compatible text renderings of values, one line
-//! per row, and files may be LZSS-compressed as a whole.
+//! per row, and files may be LZSS-compressed as a whole. COPY decodes a
+//! file with [`StagedFormat::decode_rows`], which hands each field to the
+//! caller as a borrowed slice, so fields go straight into typed column
+//! builders without an owned value per cell.
 
 use etlv_protocol::data::Value;
-use etlv_protocol::vartext::{VartextError, VartextFormat};
+use etlv_protocol::vartext::{self, VartextError, VartextFormat};
 
 use crate::error::{BulkAbortKind, CdwError};
 
@@ -89,20 +92,64 @@ impl StagedFormat {
         out.push(b'\n');
     }
 
-    /// Parse a staged buffer into rows of text fields.
-    pub fn parse(&self, data: &[u8], arity: usize) -> Result<Vec<Vec<Value>>, CdwError> {
-        self.inner
-            .decode_lines(data, Some(arity))
-            .map_err(|e: VartextError| CdwError::BulkAbort {
-                kind: BulkAbortKind::BadFile,
-                message: format!("malformed staged file: {e}"),
-            })
+    /// Decode a staged buffer line by line, handing every field to
+    /// `field(column, text)` (`None` is NULL; `Some("")` the empty string).
+    /// Empty lines are skipped and a trailing `\r` is dropped. A line with
+    /// other than `arity` fields stops the decode with a `BadFile` abort —
+    /// after its fields were handed over, so callers ignore columns at or
+    /// past `arity` and discard what they built on error. Field-level
+    /// errors (bad UTF-8, a dangling escape) take precedence over the field
+    /// count. `scratch` is reused across fields and calls. Returns the
+    /// number of rows decoded.
+    pub fn decode_rows(
+        &self,
+        data: &[u8],
+        arity: usize,
+        scratch: &mut Vec<u8>,
+        mut field: impl FnMut(usize, Option<&str>),
+    ) -> Result<usize, CdwError> {
+        let bad = |e: VartextError| CdwError::BulkAbort {
+            kind: BulkAbortKind::BadFile,
+            message: format!("malformed staged file: {e}"),
+        };
+        let mut rows = 0;
+        for line in vartext::lines(data) {
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            if line.is_empty() {
+                continue;
+            }
+            let mut col = 0;
+            let n = self
+                .inner
+                .decode_line_with(line, scratch, |f| {
+                    field(col, f);
+                    col += 1;
+                })
+                .map_err(bad)?;
+            if n != arity {
+                return Err(bad(VartextError::FieldCount {
+                    expected: arity,
+                    actual: n,
+                }));
+            }
+            rows += 1;
+        }
+        Ok(rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decode into rows of text values (NULL for a NULL field).
+    fn parse(f: &StagedFormat, data: &[u8], arity: usize) -> Result<Vec<Vec<Value>>, CdwError> {
+        let mut cells = Vec::new();
+        f.decode_rows(data, arity, &mut Vec::new(), |_, v| {
+            cells.push(v.map_or(Value::Null, |s| Value::Str(s.to_string())));
+        })?;
+        Ok(cells.chunks(arity).map(<[Value]>::to_vec).collect())
+    }
 
     #[test]
     fn roundtrip() {
@@ -120,7 +167,7 @@ mod tests {
             ],
             &mut buf,
         );
-        let rows = f.parse(&buf, 3).unwrap();
+        let rows = parse(&f, &buf, 3).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0][0], Value::Str("1".into())); // text fields come back as text
         assert_eq!(rows[0][1], Value::Null);
@@ -131,7 +178,7 @@ mod tests {
     #[test]
     fn arity_mismatch_is_bad_file() {
         let f = StagedFormat::new(b'|');
-        let err = f.parse(b"a|b\n", 3).unwrap_err();
+        let err = parse(&f, b"a|b\n", 3).unwrap_err();
         assert!(matches!(
             err,
             CdwError::BulkAbort {
@@ -170,7 +217,7 @@ mod tests {
         let f = StagedFormat::new(b',');
         let mut buf = Vec::new();
         f.write_text_row([Some("x"), None, Some("")].into_iter(), &mut buf);
-        let rows = f.parse(&buf, 3).unwrap();
+        let rows = parse(&f, &buf, 3).unwrap();
         assert_eq!(
             rows[0],
             vec![

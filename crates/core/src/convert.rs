@@ -663,9 +663,15 @@ mod tests {
         let conv = DataConverter::new(vt_layout(), WIRE_VT, b'|');
         let out = conv.convert(1, b"a|b|c\n\"\"||z\n").unwrap();
         let staged = StagedFormat::new(b'|');
-        let rows = staged.parse(&out.bytes, 4).unwrap();
-        assert_eq!(rows[0][0], Value::Str("1".into()));
-        assert_eq!(rows[1][1], Value::Str(String::new())); // empty string preserved
-        assert_eq!(rows[1][2], Value::Null); // null preserved
+        let mut cells: Vec<Option<String>> = Vec::new();
+        let rows = staged
+            .decode_rows(&out.bytes, 4, &mut Vec::new(), |_, f| {
+                cells.push(f.map(str::to_string))
+            })
+            .unwrap();
+        assert_eq!(rows, 2);
+        assert_eq!(cells[0].as_deref(), Some("1"));
+        assert_eq!(cells[4 + 1].as_deref(), Some("")); // empty string preserved
+        assert_eq!(cells[4 + 2], None); // null preserved
     }
 }

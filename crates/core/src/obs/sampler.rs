@@ -111,7 +111,9 @@ impl Sampler {
         let handle = std::thread::Builder::new()
             .name("etlv-sampler".into())
             .spawn(move || {
-                while !inner.stop.load(Ordering::Relaxed) {
+                // The first sample is taken unconditionally, so a sampler
+                // stopped right after start() still holds one point.
+                loop {
                     refresh();
                     let snap = obs.registry.snapshot();
                     let now = inner.epoch.elapsed().as_micros() as u64;
@@ -185,6 +187,9 @@ impl Sampler {
                         let slice = left.min(Duration::from_millis(20));
                         std::thread::sleep(slice);
                         left = left.saturating_sub(slice);
+                    }
+                    if inner.stop.load(Ordering::Relaxed) {
+                        break;
                     }
                 }
             })

@@ -274,10 +274,7 @@ impl VartextFormat {
             // Clean-span fast path: past the field's first byte only a
             // backslash or the delimiter can change state, so skip the
             // whole run in a tight scan (the field borrows from `line`).
-            i += 1;
-            while i < line.len() && line[i] != b'\\' && line[i] != self.delimiter {
-                i += 1;
-            }
+            i = find_either(line, i + 1, b'\\', self.delimiter);
         }
         finish!(line.len());
         Ok(nfields)
@@ -302,6 +299,50 @@ impl VartextFormat {
     }
 }
 
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// Bit 7 of each byte of `word` that equals `byte` is set (exact up to
+/// the first match, which is all callers read).
+fn byte_hits(word: u64, byte: u8) -> u64 {
+    let x = word ^ (LOW_BITS * u64::from(byte));
+    x.wrapping_sub(LOW_BITS) & !x & HIGH_BITS
+}
+
+/// Position of the first `a` or `b` in `bytes[from..]`, or `bytes.len()`.
+/// Scans a word at a time.
+fn find_either(bytes: &[u8], mut from: usize, a: u8, b: u8) -> usize {
+    while let Some(chunk) = bytes.get(from..from + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        let hits = byte_hits(word, a) | byte_hits(word, b);
+        if hits != 0 {
+            return from + (hits.trailing_zeros() / 8) as usize;
+        }
+        from += 8;
+    }
+    bytes[from.min(bytes.len())..]
+        .iter()
+        .position(|&x| x == a || x == b)
+        .map_or(bytes.len(), |p| from + p)
+}
+
+/// Split `data` into `\n`-terminated lines (the last may lack its
+/// newline), scanning a word at a time. A trailing newline yields no
+/// final empty line.
+pub fn lines(data: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = Some(data);
+    std::iter::from_fn(move || {
+        let chunk = rest?;
+        let end = find_either(chunk, 0, b'\n', b'\n');
+        if end == chunk.len() {
+            rest = None;
+            return (!chunk.is_empty()).then_some(chunk);
+        }
+        rest = Some(&chunk[end + 1..]);
+        Some(&chunk[..end])
+    })
+}
+
 fn finish_field(bytes: Vec<u8>, quoted_empty: bool) -> Result<Value, VartextError> {
     if quoted_empty && bytes.is_empty() {
         return Ok(Value::Str(String::new()));
@@ -324,6 +365,36 @@ mod tests {
 
     fn strs(vals: &[&str]) -> Vec<Value> {
         vals.iter().map(|s| Value::Str(s.to_string())).collect()
+    }
+
+    #[test]
+    fn word_scans_match_bytewise_scans() {
+        let pattern = b"ab|c\\d\nefghijkl";
+        let data: Vec<u8> = (0..300usize)
+            .map(|i| pattern[i * 7 % 17 % pattern.len()])
+            .collect();
+        for from in 0..data.len() {
+            let want = data[from..]
+                .iter()
+                .position(|&x| x == b'|' || x == b'\\')
+                .map_or(data.len(), |p| from + p);
+            assert_eq!(find_either(&data, from, b'|', b'\\'), want, "from {from}");
+        }
+        for text in [
+            &b""[..],
+            b"a",
+            b"a\n",
+            b"a\nb",
+            b"\n\nx\n",
+            b"0123456789\nabcdefghijk\n",
+        ] {
+            let got: Vec<&[u8]> = lines(text).collect();
+            let mut want: Vec<&[u8]> = text.split(|&b| b == b'\n').collect();
+            if want.last().is_some_and(|l| l.is_empty()) {
+                want.pop();
+            }
+            assert_eq!(got, want, "{text:?}");
+        }
     }
 
     #[test]
