@@ -547,6 +547,53 @@ mod tests {
     use etlv_cloudstore::{compress, MemStore};
     use etlv_protocol::data::{Date, Value};
 
+    #[test]
+    fn group_by_stored_column_groups_in_place() {
+        let cdw = Cdw::new();
+        cdw.execute_script(
+            "CREATE TABLE G (K VARCHAR(5), N INTEGER, V INTEGER);
+             INSERT INTO G VALUES ('a', 1, 10), (NULL, 2, 20), ('', 1, 30),
+                                  ('a', NULL, 40), (NULL, 2, 50), ('', 3, 60)",
+        )
+        .unwrap();
+        let (s, i) = (|x: &str| Value::Str(x.into()), Value::Int);
+        // Text key: NULL and '' are distinct groups, in first-appearance
+        // order.
+        let r = cdw
+            .execute("SELECT K, COUNT(*), SUM(V) FROM G GROUP BY K")
+            .unwrap();
+        assert_eq!(
+            r.rows,
+            vec![
+                vec![s("a"), i(2), i(50)],
+                vec![Value::Null, i(2), i(70)],
+                vec![s(""), i(2), i(90)],
+            ]
+        );
+        // Integer key, no aggregate call, HAVING on the key.
+        let r = cdw
+            .execute("SELECT N FROM G GROUP BY N HAVING N > 1")
+            .unwrap();
+        assert_eq!(r.rows, vec![vec![i(2)], vec![i(3)]]);
+        // A computed key takes the general path and groups the same way.
+        for (a, b) in [
+            (
+                "SELECT COUNT(*) FROM G GROUP BY N",
+                "SELECT COUNT(*) FROM G GROUP BY N + 0",
+            ),
+            (
+                "SELECT K, MIN(V) FROM G GROUP BY K",
+                "SELECT K, MIN(V) FROM G GROUP BY K, 1",
+            ),
+        ] {
+            assert_eq!(
+                cdw.execute(a).unwrap().rows,
+                cdw.execute(b).unwrap().rows,
+                "{b}"
+            );
+        }
+    }
+
     fn setup() -> Cdw {
         let cdw = Cdw::new();
         cdw.execute(

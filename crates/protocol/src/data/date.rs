@@ -8,6 +8,7 @@
 //! implemented by [`DateFormat`].
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Error raised when text cannot be parsed as a date, or a date is invalid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,8 +136,8 @@ impl Date {
 
     /// Parse from ISO `YYYY-MM-DD` text.
     pub fn parse_iso(s: &str) -> Result<Date, DateParseError> {
-        DateFormat::parse_pattern("YYYY-MM-DD")
-            .expect("builtin pattern")
+        static ISO: OnceLock<DateFormat> = OnceLock::new();
+        ISO.get_or_init(|| DateFormat::parse_pattern("YYYY-MM-DD").expect("builtin pattern"))
             .parse(s)
     }
 }
@@ -331,7 +332,22 @@ impl DateFormat {
     /// Parse `text` according to this pattern.
     pub fn parse(&self, text: &str) -> Result<Date, DateParseError> {
         let text = text.trim();
-        let chars: Vec<char> = text.chars().collect();
+        // Positions count characters; ASCII text (the common case) is
+        // walked as bytes, with no per-call allocation.
+        if text.is_ascii() {
+            self.parse_units(text, text.as_bytes())
+        } else {
+            let chars: Vec<char> = text.chars().collect();
+            self.parse_units(text, &chars)
+        }
+    }
+
+    /// [`parse`](Self::parse) over `text` split into characters.
+    fn parse_units<C: Copy + Into<char>>(
+        &self,
+        text: &str,
+        chars: &[C],
+    ) -> Result<Date, DateParseError> {
         let mut pos = 0usize;
         let mut year: Option<i32> = None;
         let mut month: Option<u8> = None;
@@ -345,7 +361,7 @@ impl DateFormat {
                 )));
             }
             let slice = &chars[*pos..*pos + n];
-            if !slice.iter().all(|c| c.is_ascii_digit()) {
+            if !slice.iter().all(|&c| c.into().is_ascii_digit()) {
                 return Err(err(format!(
                     "expected {n} digits at position {} of '{text}'",
                     *pos
@@ -354,7 +370,7 @@ impl DateFormat {
             *pos += n;
             Ok(slice
                 .iter()
-                .fold(0i32, |acc, c| acc * 10 + (*c as i32 - '0' as i32)))
+                .fold(0i32, |acc, &c| acc * 10 + (c.into() as i32 - '0' as i32)))
         };
 
         for token in &self.tokens {
@@ -367,7 +383,7 @@ impl DateFormat {
                 Token::Month => month = Some(read_digits(&mut pos, 2)? as u8),
                 Token::Day => day = Some(read_digits(&mut pos, 2)? as u8),
                 Token::Lit(c) => {
-                    if pos >= chars.len() || chars[pos] != *c {
+                    if pos >= chars.len() || chars[pos].into() != *c {
                         return Err(err(format!(
                             "expected '{c}' at position {pos} of '{text}' for pattern '{}'",
                             self.pattern
