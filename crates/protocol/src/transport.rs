@@ -17,6 +17,8 @@ use std::net::TcpStream;
 use std::sync::mpsc;
 use std::time::Duration;
 
+use bytes::BytesMut;
+
 use crate::frame::{Frame, FrameDecoder};
 
 /// Outcome of a bounded receive ([`Transport::recv_wait`]): unlike
@@ -77,6 +79,9 @@ pub struct TcpTransport {
     stream: TcpStream,
     decoder: FrameDecoder,
     read_buf: Vec<u8>,
+    /// Reused for every outgoing frame: each is encoded here and written
+    /// with one `write_all`.
+    write_buf: BytesMut,
 }
 
 impl TcpTransport {
@@ -88,6 +93,7 @@ impl TcpTransport {
             stream,
             decoder: FrameDecoder::new(),
             read_buf: vec![0u8; 64 * 1024],
+            write_buf: BytesMut::new(),
         })
     }
 
@@ -107,8 +113,9 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        let bytes = frame.to_bytes();
-        self.stream.write_all(&bytes)
+        self.write_buf.clear();
+        frame.encode(&mut self.write_buf);
+        self.stream.write_all(&self.write_buf)
     }
 
     fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {

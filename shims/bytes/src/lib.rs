@@ -4,6 +4,11 @@
 //! [`BytesMut`] is a growable buffer; [`Buf`]/[`BufMut`] are the cursor
 //! traits the protocol codecs are written against. Only little-endian
 //! accessors are provided — the legacy wire format is LE throughout.
+//!
+//! As upstream, turning a buffer into [`Bytes`] never copies it:
+//! `Bytes::from(Vec<u8>)` and [`BytesMut::freeze`] adopt the vector's
+//! heap allocation, and [`Buf::copy_to_bytes`] on a `Bytes` returns a
+//! view sharing its storage.
 
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
@@ -26,7 +31,7 @@ fn resolve_range(range: impl RangeBounds<usize>, len: usize) -> (usize, usize) {
 /// A cheaply-cloneable immutable byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -85,7 +90,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Bytes {
         let end = data.len();
         Bytes {
-            data: data.into(),
+            data: Arc::new(data),
             start: 0,
             end,
         }
@@ -145,8 +150,8 @@ impl std::hash::Hash for Bytes {
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct BytesMut {
     buf: Vec<u8>,
-    /// Read offset: everything before it has been consumed via `advance`
-    /// or `split_to`. Compacted lazily to keep those operations cheap.
+    /// Read offset: everything before it has been consumed via
+    /// `advance`. Compacted lazily (on `reserve`) to keep that cheap.
     head: usize,
 }
 
@@ -185,29 +190,20 @@ impl BytesMut {
         self.buf.extend_from_slice(data);
     }
 
-    /// Truncate the unconsumed portion to `len` bytes.
-    pub fn truncate(&mut self, len: usize) {
-        if len < self.len() {
-            self.buf.truncate(self.head + len);
-        }
+    /// Drop every byte, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.head = 0;
     }
 
-    /// Split off and return the first `at` bytes; `self` keeps the rest.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.len(), "split_to out of bounds");
-        let front = self[..at].to_vec();
-        self.head += at;
-        self.compact();
-        BytesMut {
-            buf: front,
-            head: 0,
+    /// Freeze into an immutable [`Bytes`] over the same allocation.
+    pub fn freeze(self) -> Bytes {
+        let end = self.buf.len();
+        Bytes {
+            data: Arc::new(self.buf),
+            start: self.head,
+            end,
         }
-    }
-
-    /// Freeze into an immutable [`Bytes`].
-    pub fn freeze(mut self) -> Bytes {
-        self.compact();
-        Bytes::from(self.buf)
     }
 
     fn compact(&mut self) {
@@ -247,6 +243,13 @@ impl std::fmt::Debug for BytesMut {
 impl From<Vec<u8>> for BytesMut {
     fn from(buf: Vec<u8>) -> BytesMut {
         BytesMut { buf, head: 0 }
+    }
+}
+
+impl From<BytesMut> for Vec<u8> {
+    fn from(mut b: BytesMut) -> Vec<u8> {
+        b.compact();
+        b.buf
     }
 }
 
@@ -349,6 +352,12 @@ impl Buf for Bytes {
         assert!(cnt <= self.len(), "advance past end");
         self.start += cnt;
     }
+    /// A view sharing this buffer's storage; nothing is copied.
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        let out = self.slice(..len);
+        self.start += len;
+        out
+    }
 }
 
 impl Buf for BytesMut {
@@ -373,6 +382,9 @@ impl<T: Buf + ?Sized> Buf for &mut T {
     }
     fn advance(&mut self, cnt: usize) {
         (**self).advance(cnt)
+    }
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        (**self).copy_to_bytes(len)
     }
 }
 
@@ -487,17 +499,20 @@ mod tests {
     }
 
     #[test]
-    fn bytes_mut_split_advance_truncate() {
+    fn bytes_mut_advance_clear_freeze() {
         let mut m = BytesMut::new();
         m.extend_from_slice(b"hello world");
-        let head = m.split_to(6);
-        assert_eq!(&head[..], b"hello ");
+        m.advance(6);
         assert_eq!(&m[..], b"world");
+        m.reserve(64);
+        assert_eq!(&m[..], b"world", "compaction keeps the unread bytes");
         m.advance(1);
-        assert_eq!(&m[..], b"orld");
-        m.truncate(2);
-        assert_eq!(&m[..], b"or");
-        assert_eq!(&m.freeze()[..], b"or");
+        assert_eq!(&m.clone().freeze()[..], b"orld");
+        assert_eq!(Vec::from(m.clone()), b"orld");
+        m.clear();
+        assert!(m.is_empty());
+        m.put_u8(7);
+        assert_eq!(&m.freeze()[..], &[7]);
     }
 
     #[test]
@@ -506,5 +521,35 @@ mod tests {
         let front = b.copy_to_bytes(3);
         assert_eq!(&front[..], &[1, 2, 3]);
         assert_eq!(b.remaining(), 1);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_adopt_the_allocation() {
+        let v = vec![5u8; 1000];
+        let ptr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), ptr, "Bytes::from(Vec) copied");
+
+        let mut m = BytesMut::with_capacity(1000);
+        m.extend_from_slice(&[6u8; 1000]);
+        let ptr = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), ptr, "freeze copied");
+    }
+
+    #[test]
+    fn copy_to_bytes_on_bytes_shares_storage() {
+        let mut b = Bytes::from((0..100u8).collect::<Vec<u8>>());
+        let base = b.as_ptr();
+        b.advance(10);
+        let mid = b.copy_to_bytes(50);
+        assert_eq!(mid.as_ptr(), base.wrapping_add(10));
+        assert_eq!(&mid[..], &(10..60u8).collect::<Vec<u8>>()[..]);
+        assert_eq!(b.as_ptr(), base.wrapping_add(60));
+        // Through the `&mut T` forwarding impl the generic codecs use.
+        fn take(buf: &mut impl Buf, len: usize) -> Bytes {
+            buf.copy_to_bytes(len)
+        }
+        let tail = take(&mut &mut b, 40);
+        assert_eq!(tail.as_ptr(), base.wrapping_add(60));
+        assert_eq!(b.remaining(), 0);
     }
 }
