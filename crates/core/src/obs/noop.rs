@@ -2,7 +2,7 @@
 //! when the `obs` feature is off. Same API as the live versions in
 //! `metrics.rs`/`journal.rs`, so instrumentation call sites stay
 //! unconditional and the compiler deletes them entirely — this is the
-//! "compiled out" baseline `bench_pr3` measures overhead against.
+//! "compiled out" build `etlv-bench --suite obs-cost` runs against.
 
 use std::path::Path;
 use std::time::{Duration, Instant};

@@ -334,12 +334,17 @@ impl WorkerRuntime {
             .runtime
             .workers
             .set((converters + writers) as u64);
+        // Each thread is counted as it is spawned, so the count is whole
+        // when `start` returns, however late the scheduler runs a worker.
+        let spawned = |shared: &RtShared| {
+            shared.threads_started.fetch_add(1, Ordering::Relaxed);
+            shared.obs.runtime.threads_started.inc();
+        };
         let mut threads = Vec::with_capacity(converters + writers);
         for _ in 0..converters {
             let shared = Arc::clone(&shared);
+            spawned(&shared);
             threads.push(std::thread::spawn(move || {
-                shared.threads_started.fetch_add(1, Ordering::Relaxed);
-                shared.obs.runtime.threads_started.inc();
                 let mut scratch = ConvertScratch::new();
                 while let Some((job, chunk)) = shared.next_chunk() {
                     shared.obs.pool.busy_workers.add(1);
@@ -350,9 +355,8 @@ impl WorkerRuntime {
         }
         for _ in 0..writers {
             let shared = Arc::clone(&shared);
+            spawned(&shared);
             threads.push(std::thread::spawn(move || {
-                shared.threads_started.fetch_add(1, Ordering::Relaxed);
-                shared.obs.runtime.threads_started.inc();
                 while let Some((job, conv)) = shared.next_converted() {
                     shared.obs.pool.busy_workers.add(1);
                     write_work(&shared, &job, conv);

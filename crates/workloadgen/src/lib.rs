@@ -4,14 +4,15 @@
 //! virtualizer — the harness that turns "fast on a uniform load" claims
 //! into "fast under production-shaped traffic" claims.
 //!
-//! The paper's evaluation (and BENCH_PR2–PR5) drives the system with one
-//! job shape at a time. Real cloud-warehouse traffic is nothing like
-//! that: arrivals are bursty or diurnal, table and job sizes follow a
-//! Zipf skew where a few hot tables absorb most rows, tenants share one
-//! node, and a fraction of every feed is dirty. This crate synthesizes
-//! such traffic the way Redbench derives benchmark workloads from cloud
-//! traces — from a handful of distribution knobs and one seed — and
-//! replays it against a live node over the real legacy wire protocol.
+//! The paper's evaluation (and the kernel and e2e benches) drives the
+//! system with one job shape at a time. Real cloud-warehouse traffic is
+//! nothing like that: arrivals are bursty or diurnal, table and job
+//! sizes follow a Zipf skew where a few hot tables absorb most rows,
+//! tenants share one node, and a fraction of every feed is dirty. This
+//! crate synthesizes such traffic the way Redbench derives benchmark
+//! workloads from cloud traces — from a handful of distribution knobs
+//! and one seed — and replays it against a live node over the real
+//! legacy wire protocol.
 //!
 //! Pipeline:
 //!
@@ -35,7 +36,7 @@
 //!    retries, and error-table attribution.
 //! 4. [`ReplayReport::slo`] folds the outcomes into an [`SloSummary`] —
 //!    p50/p95/p99 job latency, admission-rejection rate, retry and error
-//!    totals — rendered to JSON by the `bench_pr6` binary.
+//!    totals — rendered to JSON by `etlv-bench --suite replay`.
 //!
 //! Determinism model (DESIGN.md §12): every random draw comes from
 //! [`SeededRng`](etlv_protocol::rng::SeededRng) streams derived from the

@@ -59,7 +59,7 @@ impl std::error::Error for ScenarioParseError {}
 /// form; field order here matches line order there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
-    /// Scenario name (also the key in `BENCH_PR6.json`).
+    /// Scenario name (also the key in the replay suite's record).
     pub name: String,
     /// Master seed — the only source of randomness anywhere downstream.
     pub seed: u64,
@@ -195,8 +195,8 @@ impl Scenario {
     /// bisection plus uniqueness probes against an ever-growing target —
     /// quadratic for a scanning engine, n·log n for an indexed one.
     ///
-    /// Deliberately *not* part of [`Scenario::presets`]: `bench_pr6`
-    /// pins that set; `bench_pr7` runs this scenario by name.
+    /// Deliberately *not* part of [`Scenario::presets`]: the replay
+    /// suite pins that set and runs this scenario by name beside it.
     pub fn error_heavy_big(seed: u64) -> Scenario {
         Scenario {
             name: "error_heavy_big".into(),
@@ -341,7 +341,7 @@ impl Scenario {
         Ok(s)
     }
 
-    /// The three named regression scenarios `bench_pr6` runs.
+    /// The three named regression scenarios the replay suite runs.
     pub fn presets(seed: u64) -> Vec<Scenario> {
         vec![
             Scenario::steady(seed),
@@ -372,7 +372,7 @@ mod tests {
         assert_eq!(back, s);
         assert!(
             Scenario::presets(77).iter().all(|p| p.name != s.name),
-            "bench_pr6 pins the preset set; error_heavy_big rides bench_pr7"
+            "the replay suite pins the preset set; error_heavy_big runs by name"
         );
     }
 

@@ -1,5 +1,5 @@
 //! SLO summarization: fold per-job outcomes into the percentile report
-//! the regression suite and `BENCH_PR6.json` pin.
+//! the regression suite and the replay suite's record pin.
 
 /// Nearest-rank percentile over a sorted slice (µs). `p` in `(0, 100]`.
 pub fn percentile(sorted_us: &[u64], p: f64) -> u64 {
